@@ -171,6 +171,7 @@ def cmd_steady_state(config: RunConfig) -> int:
             residual_analytic=res_analytic,
             residual_numeric=res_numeric,
             max_abs_difference=max_diff,
+            mc_jumps_per_traj=mc.n_jumps / mc.n_traj,
         )
         _write_steady_table(config, metadata, columns)
     return 0
@@ -261,8 +262,6 @@ def cmd_validate(config: RunConfig, inject_trace_bug: bool = False) -> int:
         for check in group.checks:
             status = "PASS" if check.passed else "FAIL"
             print(f"{status}  {group.name}.{check.name}: {check.detail}")
-        for note in group.notes:
-            print(f"NOTE  {group.name}: {note}")
     print(f"{'PASS' if report.passed else 'FAIL'}  overall")
     if config.path:
         _write_text(config.path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")

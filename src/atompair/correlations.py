@@ -17,12 +17,10 @@ parameter at all; matched analyzers give unit contrast even for detection
 channels whose mean field (and hence whose intensity fringe) vanishes.
 
 The normalized correlation g2(1,2) is defined as the ratio
-G2(1,2)/(I(1) I(2)).  A closed-form variant is provided separately; its
-intensity normalization factors carry the detector-pair phase
-k (n1 - n2).(R_A - R_B) rather than each detector's own drive-relative
-fringe phase, so the two disagree away from coincident detectors for
-z-sensitive analyzers.  The validation report surfaces the discrepancy;
-nothing reconciles it silently.
+G2(1,2)/(I(1) I(2)).  A closed form is provided separately; each of its
+intensity normalization factors carries that detector's own drive-relative
+fringe phase k (n_i - n_l).(R_A - R_B), and the validation report asserts
+that it matches the ratio.
 """
 
 from __future__ import annotations
@@ -177,21 +175,24 @@ def g2_normalized_closed_form(
     det_1: Detector,
     det_2: Detector,
 ) -> float:
-    """Closed-form normalized coincidence for the four-level scheme, as derived:
+    """Closed-form normalized coincidence for the four-level scheme:
 
         g2(1,2) = (1 / (2 D(1) D(2))) (1 + |eps1^dag.eps2|^2 cos phi12),
-        D(i)    = 1 + Gamma^2/(2 g^2 + Gamma^2) |z.eps_i|^2 cos phi12,
+        D(i)    = 1 + Gamma^2/(2 g^2 + Gamma^2) |z.eps_i|^2 cos phi_i,
 
-    where phi12 = k (n1 - n2).(R_A - R_B) appears in both places, including
-    inside the normalization factors D(i) (see module docstring; the ratio
-    definition in :func:`g2_normalized` is the ground truth).
+    with the detector-pair phase phi12 = k (n1 - n2).(R_A - R_B) and each
+    detector's own drive-relative fringe phase phi_i = k (n_i - n_l).(R_A - R_B)
+    in its intensity factor D(i).  Equals the defining ratio of
+    :func:`g2_normalized`.
     """
-    phi12 = WAVENUMBER * ((det_1.n - det_2.n) @ geometry.separation)
+    separation = geometry.separation
+    phi12 = WAVENUMBER * ((det_1.n - det_2.n) @ separation)
     mod = intensity_modulation_factor(params)
     factors = []
     for det in (det_1, det_2):
         z_weight = abs(Z_HAT @ det.epsilon) ** 2
-        factors.append(1.0 + mod * z_weight * math.cos(phi12))
+        phase = WAVENUMBER * ((det.n - geometry.n_l) @ separation)
+        factors.append(1.0 + mod * z_weight * math.cos(phase))
     m = modulation_depth(det_1, det_2)
     return (1.0 + m * math.cos(phi12)) / (2.0 * factors[0] * factors[1])
 

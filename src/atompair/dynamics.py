@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .atom_model import DriveDecayParams, LevelScheme, Z_HAT
 
@@ -293,12 +292,7 @@ class QuantumJumpResult:
     stderr: np.ndarray
     n_traj: int
     n_samples: int
-
-
-def _chunk_propagators(h_eff: np.ndarray, dt: float, depth: int) -> list[np.ndarray]:
-    """Exact propagators for the dyadic subdivisions dt/2, ..., dt/2^depth."""
-    a = -1j * h_eff
-    return [expm(a * (dt / 2.0**k)) for k in range(1, depth + 1)]
+    n_jumps: int  # jumps of all trajectories within the horizon
 
 
 def quantum_jump_estimate(
@@ -314,18 +308,22 @@ def quantum_jump_estimate(
 ) -> QuantumJumpResult:
     """Steady-state estimate from a quantum-jump (Monte Carlo wave function) unraveling.
 
-    The non-Hermitian drift H_eff = H - (i/2) sum_k L_k^dag L_k is applied
-    with exact matrix exponentials on a fixed sampling grid; within a grid
-    step, the jump time (where the squared norm decays through the drawn
-    threshold) is located by dyadic bisection, so the estimator carries no
-    integrator bias.  The first ``burn_fraction`` of each trajectory is
-    discarded; the remaining grid samples of the normalized projector are
-    time averaged per trajectory, and the standard error of each density
-    matrix entry is taken across trajectories.
+    Waiting-time (delay-function) sampler: Plenio & Knight, Rev. Mod. Phys. 70, 101 (1998),
+    Sec. IV; cf. Dalibard, Castin & Molmer, PRL 68, 580 (1992).  Every jump operator is
+    |lower><upper|, so after a jump the state is a basis vector e_k and each trajectory is a
+    renewal process: until the next jump it is E(tau) e_k, with E(tau) = expm(-i H_eff tau) and
+    H_eff = H - (i/2) sum_c L_c^dag L_c, whose squared norm S_k(tau) is the survival function of
+    the waiting time.  E(m dt) e_k is tabulated once per restart level; the jump falls where S_k
+    reaches the drawn threshold, bracketed on the table and solved to machine precision with
+    exact propagation inside one grid step (no discretization bias), and the channel is drawn
+    with weights rate_c |psi_upper_c|^2 there.  Each round moves every live trajectory one jump
+    ahead, vectorized, so the cost scales with the jumps.  The normalized projector is sampled
+    on the grid t_n = n dt; after the first ``burn_fraction`` of the grid, samples are time
+    averaged per trajectory, and each entry's standard error is taken across trajectories.
 
-    Determinism: trajectory i consumes only its own RNG substream, spawned
-    from ``SeedSequence(seed)``, so results are bit-identical for a fixed
-    seed and independent of any batching or scheduling order.
+    Determinism: trajectory i draws only from its own substream of ``SeedSequence(seed)``,
+    in a fixed order (the first threshold; per jump, the channel, then the next threshold),
+    so results are bit-identical for a fixed seed and independent of any batching order.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -340,117 +338,118 @@ def quantum_jump_estimate(
         raise ValueError(f"initial level {initial_level} out of range")
     if dt is None:
         dt = 0.02 / params.total
-
-    h_eff = drive_hamiltonian(scheme, params).astype(complex)
-    channels = [(t.upper, t.lower, t.decay_rate) for t in scheme.transitions]
-    for upper, _, rate in channels:
-        h_eff[upper, upper] += -0.5j * rate
-
-    depth = 30
-    u_levels = _chunk_propagators(h_eff, dt, depth)
-    # chunk sequence dt/2, dt/4, ..., dt/2^depth, dt/2^depth sums to exactly dt
-    chunk_seq = list(range(depth)) + [depth - 1]
-    u_step = expm(-1j * h_eff * dt)
-
     n_steps = int(round(t_total / dt))
-    burn_steps = int(round(burn_fraction * n_steps))
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
-
-    psi = np.zeros((n_traj, dim), dtype=complex)
-    psi[:, initial_level] = 1.0
-    thresholds = np.array([rng.random() for rng in rngs])
-    acc = np.zeros((n_traj, dim, dim), dtype=complex)
-    n_samples = 0
-
-    uppers = np.array([c[0] for c in channels])
-    rates = np.array([c[2] for c in channels])
-
-    def apply_jump(state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        weights = rates * np.abs(state[uppers]) ** 2
-        total = weights.sum()
-        if total <= 0:
-            # norm threshold hit with no decaying amplitude left; numerically
-            # unreachable for gamma0+gamma > 0, kept as a guard
-            return state / np.linalg.norm(state)
-        pick = np.searchsorted(np.cumsum(weights) / total, rng.random(), side="right")
-        pick = min(pick, len(channels) - 1)
-        out = np.zeros_like(state)
-        out[channels[pick][1]] = 1.0
-        return out
-
-    def locate_first_jumps(pos: np.ndarray, thresh: np.ndarray):
-        """Advance each row up to (just before) its first norm crossing within dt.
-
-        Returns the advanced states and the boolean matrix of applied chunks.
-        """
-        applied = np.zeros((pos.shape[0], len(chunk_seq)), dtype=bool)
-        for j, level in enumerate(chunk_seq):
-            trial = pos @ u_levels[level].T
-            ok = np.einsum("ij,ij->i", trial, trial.conj()).real >= thresh
-            if ok.any():
-                pos[ok] = trial[ok]
-                applied[ok, j] = True
-        return pos, applied
-
-    def finish_scalar(state, pending_chunks, thresh, rng):
-        """Walk the remaining chunks of one row, handling further jumps coarsely."""
-        for j in pending_chunks:
-            while True:
-                trial = u_levels[chunk_seq[j]] @ state
-                if np.vdot(trial, trial).real >= thresh:
-                    state = trial
-                    break
-                state = apply_jump(state, rng)
-                thresh = rng.random()
-        return state, thresh
-
-    for step in range(n_steps):
-        trial = psi @ u_step.T
-        norms2 = np.einsum("ij,ij->i", trial, trial.conj()).real
-        crossed = norms2 < thresholds
-        if crossed.any():
-            idx = np.flatnonzero(crossed)
-            pos, applied = locate_first_jumps(psi[idx].copy(), thresholds[idx])
-            # rows that still crossed after the sweep jump now; float jitter can
-            # let a row complete the full step instead, which is fine as is
-            jumped_rows = ~applied.all(axis=1)
-            for local in np.flatnonzero(jumped_rows):
-                rng = rngs[idx[local]]
-                pos[local] = apply_jump(pos[local], rng)
-                thresholds[idx[local]] = rng.random()
-            # complete the step through every chunk that was not applied
-            pending = ~applied
-            before = pos.copy()
-            for j in range(len(chunk_seq)):
-                mask = pending[:, j]
-                if mask.any():
-                    pos[mask] = pos[mask] @ u_levels[chunk_seq[j]].T
-            # rare second crossing inside the completion: redo those rows exactly
-            end_norms2 = np.einsum("ij,ij->i", pos, pos.conj()).real
-            for local in np.flatnonzero(end_norms2 < thresholds[idx]):
-                traj = idx[local]
-                state, thresh = finish_scalar(
-                    before[local],
-                    list(np.flatnonzero(pending[local])),
-                    thresholds[traj],
-                    rngs[traj],
-                )
-                pos[local] = state
-                thresholds[traj] = thresh
-            trial[idx] = pos
-        psi = trial
-        if step >= burn_steps:
-            norms2 = np.einsum("ij,ij->i", psi, psi.conj()).real
-            normed = psi / np.sqrt(norms2)[:, None]
-            acc += np.einsum("ti,tj->tij", normed, normed.conj())
-            n_samples += 1
-
+    n_samples = n_steps - int(round(burn_fraction * n_steps))
     if n_samples == 0:
         raise ValueError("no samples collected; decrease burn_fraction or increase t_total")
+
+    uppers = np.array([t.upper for t in scheme.transitions])
+    lowers = np.array([t.lower for t in scheme.transitions])
+    rates = np.array([t.decay_rate for t in scheme.transitions])
+    a = -1j * drive_hamiltonian(scheme, params).astype(complex)  # -i H_eff
+    np.add.at(a, (uppers, uppers), -0.5 * rates)
+    # propagate(taus)[i] = expm(a taus[i]) for 0 <= taus <= dt: degree-18 Taylor series of
+    # expm(a tau / 2^s) with ||a dt / 2^s||_1 <= 1/2 (truncation below 1e-22), squared s times
+    squarings = max(0, math.ceil(math.log2(max(2.0 * dt * np.abs(a).sum(axis=0).max(), 1.0))))
+    terms = [np.eye(dim, dtype=complex)]
+    for n in range(1, 19):
+        terms.append(terms[-1] @ a / n)
+    terms = np.reshape(terms, (len(terms), -1))
+
+    def propagate(taus) -> np.ndarray:
+        x = np.asarray(taus, dtype=float)[:, None] / 2.0**squarings
+        out = (x ** np.arange(len(terms)) @ terms).reshape(-1, dim, dim)
+        for _ in range(squarings):
+            out = out @ out
+        return out
+
+    # table[searchsorted(restart, k), m] = E(m dt) e_k, past the longest stretch r0 + n_steps dt
+    restart = np.unique(np.append(lowers, initial_level))
+    table = np.zeros((len(restart), n_steps + 2, dim), dtype=complex)
+    table[:, 0] = np.eye(dim)[restart]
+    power, filled = propagate([dt])[0], 1
+    while filled < table.shape[1]:
+        n = min(filled, table.shape[1] - filled)
+        table[:, filled : filled + n] = table[:, :n] @ power.T
+        power, filled = power @ power, filled + n
+    neg_survival = -np.einsum("lmi,lmi->lm", table, table.conj()).real
+
+    def decay(psi):  # rate_c |psi_upper_c|^2: the channel weights, summing to -dS/dtau
+        return rates * np.abs(psi[:, uppers]) ** 2
+
+    def crossing(rows, m, thresh):
+        """Offsets delta in [0, dt] where ||E(delta) table[rows, m]||^2 = thresh, and the
+        states there: Newton from the linear interpolation of the bracketing survival values,
+        bisecting instead of any step that leaves the bracket or fails to halve the last."""
+        phi, s_lo, s_hi = table[rows, m], -neg_survival[rows, m], -neg_survival[rows, m + 1]
+        tol = 4.0 * np.finfo(float).eps
+        lo, hi = np.zeros_like(thresh), np.full_like(thresh, dt)
+        delta = dt * (s_lo - thresh) / (s_lo - s_hi)
+        prev_step, done = hi, np.zeros(thresh.shape, dtype=bool)
+        for _ in range(200):
+            psi = np.einsum("bij,bj->bi", propagate(delta), phi)
+            excess = np.einsum("bi,bi->b", psi, psi.conj()).real - thresh
+            lo, hi = np.where(excess >= 0, delta, lo), np.where(excess >= 0, hi, delta)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = -excess / decay(psi).sum(axis=1)
+            inside = (delta - step > lo) & (delta - step < hi)
+            newton = inside & (2.0 * abs(step) <= abs(prev_step))
+            step = np.where(newton, step, delta - (lo + hi) / 2)
+            done |= (abs(excess) <= tol * thresh) | (abs(step) <= tol * dt)
+            if done.all():
+                return delta, psi
+            delta, prev_step = np.where(done, delta, delta - step), step
+        raise RuntimeError("jump-time root finding did not converge")
+
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
+    # trajectory i restarted from level row[i] at time start[i] dt - r0[i], 0 <= r0 < dt,
+    # so its grid point start[i] + j holds E(r0 + j dt) e_k
+    row = np.full(n_traj, np.searchsorted(restart, initial_level))
+    start = np.zeros(n_traj, dtype=int)
+    r0 = np.zeros(n_traj)
+    thresholds = np.array([rng.random() for rng in rngs])
+    live = np.arange(n_traj)
+    acc = np.zeros((n_traj, dim, dim), dtype=complex)
+    n_jumps = 0
+    while live.size:
+        lev, first, off, thresh = row[live], start[live], r0[live], thresholds[live]
+        m = np.empty(live.size, dtype=int)  # first table index with survival below threshold
+        for level in np.unique(lev):
+            m[lev == level] = np.searchsorted(neg_survival[level], -thresh[lev == level], "right")
+        n_cov = n_steps + 1 - first  # grid points left, all covered unless a jump comes first
+        cand = np.flatnonzero((m < table.shape[1]) & ((m - 1) * dt < off + (n_cov - 1) * dt))
+        delta, psi_jump = crossing(lev[cand], m[cand] - 1, thresh[cand])
+        # jump at tau = (m - 1) dt + delta, after the grid points r0 + j dt it covers
+        past = delta > off[cand]
+        covered = m[cand] - 1 + past
+        jumped = first[cand] + covered <= n_steps
+        n_cov[cand[jumped]] = covered[jumped]
+        # normalized projector at the covered grid points after the burn-in
+        j_lo = np.maximum(n_steps - n_samples + 1 - first, 0)
+        for i, v in zip(np.flatnonzero(n_cov > j_lo), propagate(off[n_cov > j_lo])):
+            psi = table[lev[i], j_lo[i] : n_cov[i]] @ v.T
+            norms2 = np.einsum("sa,sa->s", psi, psi.conj()).real
+            acc[live[i]] += (psi / norms2[:, None]).T @ psi.conj()
+        cand, delta, past, covered = cand[jumped], delta[jumped], past[jumped], covered[jumped]
+        weights = decay(psi_jump[jumped])
+        total = weights.sum(axis=1)
+        if np.any(total <= 0):
+            raise RuntimeError("survival reached the jump threshold with no decaying amplitude")
+        traj = live[cand]
+        draws = np.array([rngs[i].random(2) for i in traj]).reshape(-1, 2)  # channel, threshold
+        # per row: searchsorted(cumsum(weights) / total, draw, side="right")
+        pick = (np.cumsum(weights, axis=1) / total[:, None] <= draws[:, :1]).sum(axis=1)
+        row[traj] = np.searchsorted(restart, lowers[np.minimum(pick, len(rates) - 1)])
+        start[traj] = first[cand] + covered
+        r0[traj] = np.where(past, dt, 0.0) + off[cand] - delta
+        thresholds[traj] = draws[:, 1]
+        n_jumps += traj.size
+        live = traj
+
     per_traj = acc / n_samples
     rho = per_traj.mean(axis=0)
     if n_traj > 1:
         stderr = per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj)
     else:
         stderr = np.full((dim, dim), np.inf)
-    return QuantumJumpResult(rho=rho, stderr=stderr.real, n_traj=n_traj, n_samples=n_samples)
+    return QuantumJumpResult(rho, stderr.real, n_traj, n_samples, n_jumps)

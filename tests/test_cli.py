@@ -220,6 +220,7 @@ class TestSteadyStateCommand:
         main(["steady-state", "--config", cfg, "--output", out])
         metadata, header, rows = read_csv(out)
         assert float(metadata["max_abs_difference"]) < 1e-10
+        assert float(metadata["mc_jumps_per_traj"]) > 0
         entry_col = [cells[0] for cells in rows]
         assert "rho11" in entry_col and "rho34" in entry_col
 
@@ -236,6 +237,7 @@ class TestValidateCommand:
         assert report["passed"] is True
         names = {g["name"] for g in report["groups"]}
         assert {"steady_state", "trace_normalization", "monte_carlo"} <= names
+        assert "mc_jumps_per_traj = " in captured
 
     def test_injected_trace_bug_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_MC)

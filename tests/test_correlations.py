@@ -231,15 +231,21 @@ class TestG2Normalized:
             closed = g2_normalized_closed_form(geometry, params, det_1, det_2)
             assert abs(ratio - closed) < 1e-12
 
-    def test_closed_form_differs_for_pi_off_coincidence(self, scheme, geometry, params):
-        # the printed normalization factors carry the detector-pair phase;
-        # the defining ratio does not reduce to them away from coincidence
-        eps = pi_polarization(Y_HAT)
-        det_1 = Detector(Y_HAT, eps)
-        det_2 = Detector(scan_direction("xy", 1.0), eps)
-        ratio = g2_normalized(scheme, geometry, params, det_1, det_2)
-        closed = g2_normalized_closed_form(geometry, params, det_1, det_2)
-        assert abs(ratio - closed) > 1e-3
+    def test_closed_form_matches_ratio_random_geometry(self):
+        # each intensity factor carries its own detector's drive-relative phase, so
+        # the closed form equals the defining ratio for any geometry and analyzers
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            p = random_params(rng)
+            n_l = rng.normal(size=3)
+            geom = Geometry(
+                r_a=rng.normal(size=3), r_b=rng.normal(size=3), n_l=n_l / np.linalg.norm(n_l)
+            )
+            det_1 = random_transverse_detector(rng)
+            det_2 = random_transverse_detector(rng)
+            ratio = g2_normalized(hg_level_scheme(p), geom, p, det_1, det_2)
+            closed = g2_normalized_closed_form(geom, p, det_1, det_2)
+            assert abs(ratio - closed) < 1e-10 * max(1.0, abs(ratio))
 
 
 class TestWitness:

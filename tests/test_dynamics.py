@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from atompair import (
     DegenerateSteadyStateError,
@@ -16,7 +20,7 @@ from atompair import (
     two_level_scheme,
     two_level_steady_state_analytic,
 )
-from atompair.dynamics import check_density_matrix, unvectorize, vectorize
+from atompair.dynamics import check_density_matrix, drive_hamiltonian, unvectorize, vectorize
 
 from conftest import random_params
 
@@ -256,3 +260,81 @@ class TestQuantumJump:
         exact = two_level_steady_state_analytic(p)
         assert abs(res.rho[0, 0].real - exact[0, 0].real) <= 3.0 * res.stderr[0, 0]
         assert abs(res.rho[0, 1] - exact[0, 1]) <= 4.0 * res.stderr[0, 1]
+
+
+def reference_jump_sampler(scheme, params, n_traj, t_total, seed, burn_fraction, initial_level):
+    """Scalar quantum-jump sampler: one trajectory at a time, exact expm at every grid
+    point, brentq for every jump time, and the estimator's draw order (threshold, then
+    per jump the channel and the next threshold)."""
+    dim = scheme.n_levels
+    dt = 0.02 / params.total
+    n_steps = int(round(t_total / dt))
+    burn_steps = int(round(burn_fraction * n_steps))
+    channels = [(t.upper, t.lower, t.decay_rate) for t in scheme.transitions]
+    gen = -1j * drive_hamiltonian(scheme, params).astype(complex)
+    for upper, _, rate in channels:
+        gen[upper, upper] -= 0.5 * rate
+    per_traj = []
+    for child in np.random.SeedSequence(seed).spawn(n_traj):
+        rng = np.random.default_rng(child)
+        restart, level, thresh = 0.0, initial_level, rng.random()
+        acc = np.zeros((dim, dim), dtype=complex)
+
+        def state(t):
+            return expm(gen * (t - restart))[:, level]
+
+        def excess(t):
+            return np.vdot(state(t), state(t)).real - thresh
+
+        for n in range(1, n_steps + 1):
+            while excess(n * dt) < 0:
+                lo = max(restart, (n - 1) * dt)
+                t_jump = brentq(excess, lo, n * dt, xtol=1e-15, rtol=1e-15)
+                psi = state(t_jump)
+                weights = np.array([rate * abs(psi[u]) ** 2 for u, _, rate in channels])
+                cum = np.cumsum(weights) / weights.sum()
+                pick = min(np.searchsorted(cum, rng.random(), side="right"), len(channels) - 1)
+                restart, level, thresh = t_jump, channels[pick][1], rng.random()
+            if n > burn_steps:
+                psi = state(n * dt)
+                acc += np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        per_traj.append(acc / (n_steps - burn_steps))
+    per_traj = np.array(per_traj)
+    return per_traj.mean(axis=0), per_traj.std(axis=0, ddof=1).real / math.sqrt(n_traj)
+
+
+class TestQuantumJumpReference:
+    CASES = {
+        "default": (1.0, 0.5, 0.5, False, {}),
+        "two_level": (0.8, 0.0, 1.0, True, {}),
+        "exceptional_point": (0.5, 0.5, 0.5, False, {}),
+        "strong_drive": (10.0, 0.5, 0.5, False, {}),
+        "very_strong_drive": (1e3, 0.5, 0.5, False, {}),  # ||H_eff dt|| >> 1: squarings
+        "excited_start": (1.0, 0.3, 0.7, False, {"initial_level": 0}),
+        "no_burn_in": (1.0, 0.5, 0.5, False, {"burn_fraction": 0.0}),
+        "no_jumps": (1e-3, 0.5, 0.5, False, {}),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_scalar_reference(self, case):
+        g, gamma0, gamma, two_level, kwargs = self.CASES[case]
+        p = DriveDecayParams(g=g, gamma0=gamma0, gamma=gamma)
+        scheme = two_level_scheme(p.total) if two_level else hg_level_scheme(p)
+        res = quantum_jump_estimate(scheme, p, n_traj=5, t_total=20.0, seed=31, **kwargs)
+        rho, stderr = reference_jump_sampler(
+            scheme,
+            p,
+            5,
+            20.0,
+            31,
+            kwargs.get("burn_fraction", 0.1),
+            kwargs.get("initial_level", min(scheme.ground_levels)),
+        )
+        assert np.max(np.abs(res.rho - rho)) <= 1e-9
+        assert np.max(np.abs(res.stderr - stderr)) <= 1e-9
+        assert (res.n_jumps == 0) == (case == "no_jumps")
+
+    def test_single_trajectory_has_infinite_stderr(self, scheme, params):
+        res = quantum_jump_estimate(scheme, params, n_traj=1, t_total=10.0, seed=3)
+        assert np.all(np.isinf(res.stderr))
+        check_density_matrix(res.rho)

@@ -29,7 +29,6 @@ from .correlations import (
     correlation_point,
     g2_factorized,
     gamma2,
-    gamma2_from_operators,
     modulation_depth,
     g2_normalized,
     g2_normalized_closed_form,

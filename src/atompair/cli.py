@@ -61,35 +61,30 @@ def _metadata_lines(metadata: dict) -> list[str]:
     return lines
 
 
+def _plain(value):
+    """A table cell as str, int (flags and counts) or float."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return int(value)
+    return float(value)
+
+
 def _write_csv(path: str, metadata: dict, columns: dict) -> None:
     names = list(columns)
     rows = len(next(iter(columns.values()))) if columns else 0
     lines = _metadata_lines(metadata)
     lines.append(",".join(names))
     for i in range(rows):
-        cells = []
-        for name in names:
-            value = columns[name][i]
-            if isinstance(value, (bool, np.bool_)):
-                cells.append(str(int(value)))
-            elif isinstance(value, (int, np.integer)):
-                cells.append(str(int(value)))
-            else:
-                cells.append(_format_float(value))
-        lines.append(",".join(cells))
+        cells = (_plain(columns[name][i]) for name in names)
+        lines.append(",".join(_format_float(c) if isinstance(c, float) else str(c) for c in cells))
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, metadata: dict, columns: dict) -> None:
     payload = {
         "metadata": metadata,
-        "columns": {
-            name: [
-                int(v) if isinstance(v, (bool, np.bool_, int, np.integer)) else float(v)
-                for v in values
-            ]
-            for name, values in columns.items()
-        },
+        "columns": {name: [_plain(v) for v in values] for name, values in columns.items()},
     }
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -173,32 +168,8 @@ def cmd_steady_state(config: RunConfig) -> int:
             max_abs_difference=max_diff,
             mc_jumps_per_traj=mc.n_jumps / mc.n_traj,
         )
-        _write_steady_table(config, metadata, columns)
+        _write_table(config, "steady_state.csv", metadata, columns)
     return 0
-
-
-def _write_steady_table(config: RunConfig, metadata: dict, columns: dict) -> None:
-    if config.format == "json":
-        payload = {"metadata": metadata, "columns": {}}
-        for name, values in columns.items():
-            if name == "entry":
-                payload["columns"][name] = list(values)
-            else:
-                payload["columns"][name] = [float(v) for v in values]
-        _write_text(config.path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        names = list(columns)
-        lines = _metadata_lines(metadata)
-        lines.append(",".join(names))
-        for i in range(len(columns["entry"])):
-            cells = []
-            for name in names:
-                value = columns[name][i]
-                cells.append(value if isinstance(value, str) else _format_float(value))
-            lines.append(",".join(cells))
-        _write_text(config.path, "\n".join(lines) + "\n")
-    if config.path not in ("", "-"):
-        print(f"wrote {config.path}")
 
 
 def cmd_intensity_scan(config: RunConfig) -> int:

@@ -124,6 +124,10 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
+    for key in sorted(_FLOAT_KEYS | _VEC3_KEYS | _VEC6_KEYS):
+        value = getattr(config, key)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ConfigError(f"key '{key}' must be finite")
     if config.g < 0:
         raise ConfigError("key 'g' must be >= 0")
     if config.gamma0 < 0 or config.gamma < 0:

@@ -1,26 +1,37 @@
 """Equal-time second-order (intensity-intensity) correlation quantities.
 
-For uncorrelated atoms in the same single-atom state the two-detector
-coincidence rate factorizes into single-atom amplitude correlations,
+Two uncorrelated atoms in the same single-atom state rho radiate a pair
+field whose every factorized first- and second-order quantity is phase
+algebra over five single-atom traces of the two analyzers,
 
-    G2(1,2) = G1_A(1,1) G1_B(2,2) + G1_A(1,2) G1_B(2,1)
-            + G1_A(2,1) G1_B(1,2) + G1_A(2,2) G1_B(1,1)
-            = baseline * (1 + Gamma2(1,2)),
+    a_ij = tr(rho c_i^dag c_j)  (i, j = 1, 2),     m_i = tr(rho c_i),
 
-with baseline = G1_A(1,1) G1_B(2,2) + G1_A(2,2) G1_B(1,1) and the
-interference factor
+where c_i is the lowering-coefficient matrix of analyzer i.  With the
+detector-pair phase phi12 = k (n1 - n2).(R_A - R_B) and each detector's
+drive-relative phase psi_i = k (n_i - n_l).(R_A - R_B), the two-atom Young
+picture reads
 
-    Gamma2(1,2) = |eps1^dag . eps2|^2 * cos(k (n1 - n2).(R_A - R_B)).
+    G2(1,2) = 2 a11 a22 + 2 |a12|^2 cos phi12 = baseline * (1 + Gamma2(1,2)),
+    I(i)    = 2 a_ii   + 2 |m_i|^2 cos psi_i,
 
-The fringe contrast |eps1^dag . eps2|^2 contains no drive or decay
-parameter at all; matched analyzers give unit contrast even for detection
-channels whose mean field (and hence whose intensity fringe) vanishes.
+with the interference factor
+
+    Gamma2(1,2) = |a12|^2 / (a11 a22) * cos phi12
+                = |eps1^dag . eps2|^2 * cos phi12.
+
+The fringe contrast |a12|^2/(a11 a22) = |eps1^dag . eps2|^2 contains no
+drive or decay parameter at all; matched analyzers give unit contrast even
+for detection channels whose mean field (and hence whose intensity fringe)
+vanishes.  The phases may be scalars (one detector pair) or arrays (a
+scan): the traces do not depend on the directions.
 
 The normalized correlation g2(1,2) is defined as the ratio
 G2(1,2)/(I(1) I(2)).  A closed form is provided separately; each of its
 intensity normalization factors carries that detector's own drive-relative
-fringe phase k (n_i - n_l).(R_A - R_B), and the validation report asserts
-that it matches the ratio.
+fringe phase psi_i, and the validation report asserts that it matches the
+ratio.  The operator route of :mod:`atompair.farfield` (field operators and
+``g1``) and the product-space oracle are the independent checks of these
+formulas.
 """
 
 from __future__ import annotations
@@ -32,21 +43,14 @@ import numpy as np
 
 from .atom_model import Detector, DriveDecayParams, Geometry, LevelScheme, WAVENUMBER, Z_HAT
 from .dynamics import build_liouvillian, steady_state_numeric
-from .farfield import (
-    FieldOperator,
-    field_operator,
-    g1,
-    intensity,
-    intensity_modulation_factor,
-)
+from .farfield import g1  # noqa: F401  (perfbench/tests checks the tracer rebinds this alias)
+from .farfield import intensity_modulation_factor, lowering_coefficients
 
 __all__ = [
     "WitnessResult",
     "CorrelationResult",
-    "g2_baseline",
     "g2_factorized",
     "gamma2",
-    "gamma2_from_operators",
     "modulation_depth",
     "g2_normalized",
     "g2_normalized_closed_form",
@@ -58,51 +62,71 @@ __all__ = [
 _WITNESS_MARGIN = 1e-12
 
 
-def _check_atom_assignment(op_a1, op_b1, op_a2, op_b2) -> None:
-    if not (op_a1.atom == op_a2.atom == "A" and op_b1.atom == op_b2.atom == "B"):
+def _traces(scheme: LevelScheme, rho, *epsilons) -> tuple[np.ndarray, np.ndarray]:
+    """Single-atom traces a[i, j] = tr(rho c_i^dag c_j) and m[i] = tr(rho c_i)."""
+    c = np.stack([lowering_coefficients(scheme, eps) for eps in epsilons])
+    rho = np.asarray(rho, dtype=complex)
+    return np.einsum("xy,iky,jkx->ij", rho, c.conj(), c), np.einsum("xy,iyx->i", rho, c)
+
+
+def _fringe_phase(geometry: Geometry, n, n_ref=None):
+    """k (n - n_ref).(R_A - R_B), with n_ref the drive direction by default; n may be (N, 3)."""
+    reference = geometry.n_l if n_ref is None else n_ref
+    return WAVENUMBER * ((n - reference) @ geometry.separation)
+
+
+def _intensity(a_ii, m_i, psi):
+    """I = 2 a_ii + 2 |m_i|^2 cos psi: both atoms plus their mean-field cross term."""
+    return 2.0 * (a_ii.real + abs(m_i) ** 2 * np.cos(psi))
+
+
+def _correlations(a, m, phi_12, psi_1, psi_2):
+    """(G2, Gamma2, g2(1,2), witness) of a detector pair from its traces and phases.
+
+    Phases may be scalars or arrays.  Raises ValueError when a detector sees
+    no light, where the normalized quantities are undefined.
+    """
+    i_1 = _intensity(a[0, 0], m[0], psi_1)
+    i_2 = _intensity(a[1, 1], m[1], psi_2)
+    if np.any(i_1 <= 0) or np.any(i_2 <= 0):
         raise ValueError(
-            "mixed-up atom assignment: expected (A, B, A, B), got "
-            f"({op_a1.atom}, {op_b1.atom}, {op_a2.atom}, {op_b2.atom})"
+            f"zero intensity at a detector (I1 = {np.min(i_1):.3e}, I2 = {np.min(i_2):.3e})"
         )
-
-
-def g2_baseline(
-    op_a1: FieldOperator,
-    op_b1: FieldOperator,
-    op_a2: FieldOperator,
-    op_b2: FieldOperator,
-    rho,
-) -> float:
-    """Non-oscillating part G1_A(1,1) G1_B(2,2) + G1_A(2,2) G1_B(1,1)."""
-    _check_atom_assignment(op_a1, op_b1, op_a2, op_b2)
-    val = g1(op_a1, op_a1, rho) * g1(op_b2, op_b2, rho) + g1(op_a2, op_a2, rho) * g1(
-        op_b1, op_b1, rho
+    baseline = 2.0 * (a[0, 0] * a[1, 1]).real
+    cross = 2.0 * abs(a[0, 1]) ** 2 * np.cos(phi_12)
+    g2 = baseline + cross
+    g2_12 = g2 / (i_1 * i_2)
+    # coincident detectors have phi = 0, so G2(i,i) = 4 a_ii^2
+    witness = witness_from_g2(
+        4.0 * a[0, 0].real ** 2 / (i_1 * i_1), 4.0 * a[1, 1].real ** 2 / (i_2 * i_2), g2_12
     )
-    return float(val.real)
+    return g2, cross / baseline, g2_12, witness
+
+
+def _point(scheme, geometry, det_1: Detector, det_2: Detector, rho):
+    a, m = _traces(scheme, rho, det_1.epsilon, det_2.epsilon)
+    return _correlations(
+        a,
+        m,
+        _fringe_phase(geometry, det_1.n, det_2.n),
+        _fringe_phase(geometry, det_1.n),
+        _fringe_phase(geometry, det_2.n),
+    )
 
 
 def g2_factorized(
-    op_a1: FieldOperator,
-    op_b1: FieldOperator,
-    op_a2: FieldOperator,
-    op_b2: FieldOperator,
+    scheme: LevelScheme,
+    geometry: Geometry,
+    det_1: Detector,
+    det_2: Detector,
     rho,
 ) -> float:
-    """Two-detector coincidence rate for uncorrelated atoms sharing state rho.
+    """Two-detector coincidence rate G2(1,2) = 2 a11 a22 + 2 |a12|^2 cos phi12
+    for uncorrelated atoms sharing state rho.
 
-    The four amplitude-correlation products of the factorized form; the two
-    cross products are complex conjugates, so the sum is real.
+    Raises ValueError when a detector sees no light (zero intensity).
     """
-    _check_atom_assignment(op_a1, op_b1, op_a2, op_b2)
-    val = (
-        g1(op_a1, op_a1, rho) * g1(op_b2, op_b2, rho)
-        + g1(op_a1, op_a2, rho) * g1(op_b2, op_b1, rho)
-        + g1(op_a2, op_a1, rho) * g1(op_b1, op_b2, rho)
-        + g1(op_a2, op_a2, rho) * g1(op_b1, op_b1, rho)
-    )
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"coincidence rate should be real, got imaginary part {val.imag:.3e}")
-    return float(val.real)
+    return float(_point(scheme, geometry, det_1, det_2, rho)[0])
 
 
 def gamma2(geometry: Geometry, det_1: Detector, det_2: Detector) -> float:
@@ -115,21 +139,6 @@ def gamma2(geometry: Geometry, det_1: Detector, det_2: Detector) -> float:
     return modulation_depth(det_1, det_2) * math.cos(phase)
 
 
-def gamma2_from_operators(
-    op_a1: FieldOperator,
-    op_b1: FieldOperator,
-    op_a2: FieldOperator,
-    op_b2: FieldOperator,
-    rho,
-) -> float:
-    """Interference factor computed from the operator route (cross over baseline)."""
-    base = g2_baseline(op_a1, op_b1, op_a2, op_b2, rho)
-    if base <= 0:
-        raise ValueError("zero baseline; interference factor undefined")
-    cross = 2.0 * (g1(op_a1, op_a2, rho) * g1(op_b2, op_b1, rho)).real
-    return float(cross / base)
-
-
 def modulation_depth(det_1: Detector, det_2: Detector) -> float:
     """Fringe contrast |eps1^dag . eps2|^2 of the coincidence pattern."""
     return float(abs(np.vdot(det_1.epsilon, det_2.epsilon)) ** 2)
@@ -137,25 +146,6 @@ def modulation_depth(det_1: Detector, det_2: Detector) -> float:
 
 def _steady_state(scheme: LevelScheme, params: DriveDecayParams) -> np.ndarray:
     return steady_state_numeric(build_liouvillian(scheme, params))
-
-
-def _pair_operators(scheme, geometry, det_1, det_2):
-    return (
-        field_operator(scheme, geometry, det_1, "A", require_transverse=False),
-        field_operator(scheme, geometry, det_1, "B", require_transverse=False),
-        field_operator(scheme, geometry, det_2, "A", require_transverse=False),
-        field_operator(scheme, geometry, det_2, "B", require_transverse=False),
-    )
-
-
-def _g2_normalized_given_state(scheme, geometry, det_1, det_2, rho) -> float:
-    ops = _pair_operators(scheme, geometry, det_1, det_2)
-    g2 = g2_factorized(*ops, rho)
-    i1 = intensity(scheme, geometry, det_1, rho, rho)
-    i2 = intensity(scheme, geometry, det_2, rho, rho)
-    if i1 <= 0 or i2 <= 0:
-        raise ValueError(f"zero intensity at a detector (I1 = {i1:.3e}, I2 = {i2:.3e})")
-    return g2 / (i1 * i2)
 
 
 def g2_normalized(
@@ -166,7 +156,7 @@ def g2_normalized(
     det_2: Detector,
 ) -> float:
     """Normalized coincidence rate g2(1,2) = G2(1,2)/(I(1) I(2)) in steady state."""
-    return _g2_normalized_given_state(scheme, geometry, det_1, det_2, _steady_state(scheme, params))
+    return float(_point(scheme, geometry, det_1, det_2, _steady_state(scheme, params))[2])
 
 
 def g2_normalized_closed_form(
@@ -199,17 +189,21 @@ def g2_normalized_closed_form(
 
 @dataclass(frozen=True)
 class WitnessResult:
-    """Classical-field inequality (g2(1,1)-1)(g2(2,2)-1) >= (g2(1,2)-1)^2."""
+    """Classical-field inequality (g2(1,1)-1)(g2(2,2)-1) >= (g2(1,2)-1)^2.
+
+    Fields are arrays when the inputs are arrays (one entry per scan point).
+    """
 
     lhs: float
     rhs: float
     violated: bool
 
 
-def witness_from_g2(g2_11: float, g2_22: float, g2_12: float) -> WitnessResult:
+def witness_from_g2(g2_11, g2_22, g2_12) -> WitnessResult:
     lhs = (g2_11 - 1.0) * (g2_22 - 1.0)
     rhs = (g2_12 - 1.0) ** 2
-    return WitnessResult(lhs=lhs, rhs=rhs, violated=bool(lhs < rhs - _WITNESS_MARGIN))
+    violated = np.less(lhs, rhs - _WITNESS_MARGIN)
+    return WitnessResult(lhs=lhs, rhs=rhs, violated=violated if violated.ndim else bool(violated))
 
 
 def nonclassicality_witness(
@@ -221,11 +215,8 @@ def nonclassicality_witness(
 ) -> WitnessResult:
     """Evaluate the classicality inequality in steady state; violation certifies
     nonclassical light."""
-    rho = _steady_state(scheme, params)
-    g2_11 = _g2_normalized_given_state(scheme, geometry, det_1, det_1, rho)
-    g2_22 = _g2_normalized_given_state(scheme, geometry, det_2, det_2, rho)
-    g2_12 = _g2_normalized_given_state(scheme, geometry, det_1, det_2, rho)
-    return witness_from_g2(g2_11, g2_22, g2_12)
+    witness = _point(scheme, geometry, det_1, det_2, _steady_state(scheme, params))[3]
+    return WitnessResult(float(witness.lhs), float(witness.rhs), witness.violated)
 
 
 @dataclass(frozen=True)
@@ -252,19 +243,13 @@ def correlation_point(
     """Bundle of the second-order quantities for one detector pair in steady state."""
     if rho is None:
         rho = _steady_state(scheme, params)
-    ops = _pair_operators(scheme, geometry, det_1, det_2)
-    g2 = g2_factorized(*ops, rho)
-    gam2 = gamma2_from_operators(*ops, rho)
-    g2_11 = _g2_normalized_given_state(scheme, geometry, det_1, det_1, rho)
-    g2_22 = _g2_normalized_given_state(scheme, geometry, det_2, det_2, rho)
-    g2_12 = _g2_normalized_given_state(scheme, geometry, det_1, det_2, rho)
-    witness = witness_from_g2(g2_11, g2_22, g2_12)
+    g2, gam2, g2_12, witness = _point(scheme, geometry, det_1, det_2, rho)
     return CorrelationResult(
-        g2=g2,
-        gamma2=gam2,
+        g2=float(g2),
+        gamma2=float(gam2),
         modulation_depth=modulation_depth(det_1, det_2),
-        g2_normalized=g2_12,
-        witness_lhs=witness.lhs,
-        witness_rhs=witness.rhs,
+        g2_normalized=float(g2_12),
+        witness_lhs=float(witness.lhs),
+        witness_rhs=float(witness.rhs),
         violated=witness.violated,
     )

@@ -22,6 +22,19 @@ idealization (both arms configured identically) under which equal
 polarizations give unit fringe contrast at any drive strength; recomputing
 a transverse sigma analyzer at every angle would instead roll the contrast
 off geometrically.
+
+Phase algebra
+-------------
+Both analyzers are fixed during a scan, so the single-atom traces
+a_ij = tr(rho c_i^dag c_j) and m_i = tr(rho c_i) are computed once and only
+the geometric phases move with the scan direction n:
+
+    I(n)     = 2 a + 2 |m|^2 cos psi,          psi   = k (n - n_l).(R_A - R_B),
+    G2(1, 2) = 2 a11 a22 + 2 |a12|^2 cos phi12, phi12 = k (n1 - n2).(R_A - R_B),
+
+evaluated as numpy expressions over the whole phase array (see
+:mod:`atompair.correlations`).  The exact column of :func:`g2_scan` is the
+product-space oracle, evaluated independently at every scan point.
 """
 
 from __future__ import annotations
@@ -36,21 +49,14 @@ from .atom_model import (
     DriveDecayParams,
     Geometry,
     LevelScheme,
-    WAVENUMBER,
     pi_polarization,
     sigma_polarization,
     transverse_projection,
 )
-from .correlations import (
-    _g2_normalized_given_state,
-    g2_factorized,
-    gamma2_from_operators,
-    modulation_depth,
-    witness_from_g2,
-)
+from .correlations import _correlations, _fringe_phase, _intensity, _traces
 from .dynamics import build_liouvillian, steady_state_numeric
 from .exact_oracle import g2_exact
-from .farfield import field_operator, intensity, intensity_visibility
+from .farfield import intensity_visibility
 
 __all__ = [
     "scan_angles",
@@ -73,11 +79,14 @@ def scan_angles(n_points: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
 
 
-def scan_direction(plane: str, theta: float) -> np.ndarray:
+def scan_direction(plane: str, theta) -> np.ndarray:
+    """Unit direction(s) at angle(s) theta; an array of N angles gives shape (N, 3)."""
+    theta = np.asarray(theta, dtype=float)
+    cos, sin, zero = np.cos(theta), np.sin(theta), np.zeros_like(theta)
     if plane == "xy":
-        return np.array([math.cos(theta), math.sin(theta), 0.0])
+        return np.stack([cos, sin, zero], axis=-1)
     if plane == "xz":
-        return np.array([math.sin(theta), 0.0, math.cos(theta)])
+        return np.stack([sin, zero, cos], axis=-1)
     raise ValueError(f"scan plane must be one of {_PLANES}, got {plane!r}")
 
 
@@ -122,11 +131,6 @@ def scan_depth(values: np.ndarray) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def _fringe_phase(geometry: Geometry, n_det, n_ref=None) -> float:
-    reference = geometry.n_l if n_ref is None else n_ref
-    return WAVENUMBER * ((n_det - reference) @ geometry.separation)
-
-
 @dataclass(frozen=True, eq=False)
 class IntensityScan:
     angles: np.ndarray
@@ -152,13 +156,9 @@ def intensity_scan(
     if rho is None:
         rho = steady_state_numeric(build_liouvillian(scheme, params))
     angles = scan_angles(n_points)
-    phases = np.empty_like(angles)
-    values = np.empty_like(angles)
-    for i, theta in enumerate(angles):
-        n = scan_direction(plane, theta)
-        det = Detector(n, epsilon)
-        phases[i] = _fringe_phase(geometry, n)
-        values[i] = intensity(scheme, geometry, det, rho, rho)
+    phases = _fringe_phase(geometry, scan_direction(plane, angles))
+    a, m = _traces(scheme, rho, epsilon)
+    values = _intensity(a[0, 0], m[0], phases)
     return IntensityScan(
         angles=angles,
         phases=phases,
@@ -204,34 +204,16 @@ def g2_scan(
     rho = steady_state_numeric(build_liouvillian(scheme, params))
     rho_pair = np.kron(rho, rho)
 
-    op_a1 = field_operator(scheme, geometry, det_1, "A", require_transverse=False)
-    op_b1 = field_operator(scheme, geometry, det_1, "B", require_transverse=False)
-    g2_11 = _g2_normalized_given_state(scheme, geometry, det_1, det_1, rho)
-
     angles = scan_angles(n_points)
-    phases = np.empty_like(angles)
-    fact = np.empty_like(angles)
-    exact = np.empty_like(angles)
-    gam2 = np.empty_like(angles)
-    norm = np.empty_like(angles)
-    lhs = np.empty_like(angles)
-    rhs = np.empty_like(angles)
-    violated = np.zeros(angles.shape, dtype=bool)
-    for i, theta in enumerate(angles):
-        n2 = scan_direction(plane, theta)
-        det_2 = Detector(n2, eps_2)
-        op_a2 = field_operator(scheme, geometry, det_2, "A", require_transverse=False)
-        op_b2 = field_operator(scheme, geometry, det_2, "B", require_transverse=False)
-        phases[i] = _fringe_phase(geometry, det_1.n, n2)
-        fact[i] = g2_factorized(op_a1, op_b1, op_a2, op_b2, rho)
-        exact[i] = g2_exact(scheme, geometry, det_1, det_2, rho_pair)
-        gam2[i] = gamma2_from_operators(op_a1, op_b1, op_a2, op_b2, rho)
-        norm[i] = _g2_normalized_given_state(scheme, geometry, det_1, det_2, rho)
-        g2_22 = _g2_normalized_given_state(scheme, geometry, det_2, det_2, rho)
-        witness = witness_from_g2(g2_11, g2_22, norm[i])
-        lhs[i] = witness.lhs
-        rhs[i] = witness.rhs
-        violated[i] = witness.violated
+    n_2 = scan_direction(plane, angles)
+    phases = _fringe_phase(geometry, n_ref, n_2)
+    fact, gam2, norm, witness = _correlations(
+        *_traces(scheme, rho, eps_1, eps_2),
+        phases,
+        _fringe_phase(geometry, n_ref),
+        _fringe_phase(geometry, n_2),
+    )
+    exact = np.array([g2_exact(scheme, geometry, det_1, Detector(n, eps_2), rho_pair) for n in n_2])
     return G2Scan(
         angles=angles,
         phases=phases,
@@ -239,9 +221,9 @@ def g2_scan(
         g2_exact=exact,
         gamma2=gam2,
         g2_normalized=norm,
-        witness_lhs=lhs,
-        witness_rhs=rhs,
-        violated=violated,
+        witness_lhs=witness.lhs,
+        witness_rhs=witness.rhs,
+        violated=witness.violated,
         modulation_depth=scan_depth(fact),
         modulation_closed_form=float(abs(np.vdot(eps_1, eps_2)) ** 2),
         detector_1=det_1,

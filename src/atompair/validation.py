@@ -45,7 +45,7 @@ from .dynamics import (
     steady_state_numeric,
 )
 from .exact_oracle import conditioned_state, g2_exact, intensity_exact
-from .farfield import field_operator, intensity, mean_field
+from .farfield import field_operator, mean_field
 from .scans import (
     g2_scan,
     intensity_scan,
@@ -266,13 +266,7 @@ def _oracle_group(rng: np.random.Generator, geometry) -> Group:
         for _ in range(50):
             det_1 = _random_detector(rng)
             det_2 = _random_detector(rng)
-            ops = (
-                field_operator(scheme, geometry, det_1, "A"),
-                field_operator(scheme, geometry, det_1, "B"),
-                field_operator(scheme, geometry, det_2, "A"),
-                field_operator(scheme, geometry, det_2, "B"),
-            )
-            fact = g2_factorized(*ops, rho)
+            fact = g2_factorized(scheme, geometry, det_1, det_2, rho)
             exact = g2_exact(scheme, geometry, det_1, det_2, rho_pair)
             worst = max(worst, abs(fact - exact))
             try:
@@ -358,30 +352,23 @@ def _witness_group(geometry) -> Group:
 def _superposition_group(geometry) -> Group:
     group = Group("superposition")
     scheme = two_level_scheme(1.0)
+    # with rho given, the scan reads params only for its closed-form visibility
+    params = DriveDecayParams(g=1.0, gamma0=0.0, gamma=1.0)
     n_ref = reference_direction("xy")
     eps = resolve_polarization("pi", n_ref)
-    angles = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
-
-    def intensity_samples(rho):
-        return np.array(
-            [
-                intensity(scheme, geometry, Detector(scan_direction("xy", theta), eps), rho, rho)
-                for theta in angles
-            ]
-        )
+    det_ref = Detector(n_ref, eps)
+    op_a = field_operator(scheme, geometry, det_ref, "A")
+    op_b = field_operator(scheme, geometry, det_ref, "B")
 
     worst = 0.0
     for ratio in (0.0, 0.3, 0.5, 0.8, 1.0):
         c_e = math.sqrt(ratio)
         c_g = math.sqrt(1.0 - ratio)
         rho = pure_state([c_e, c_g])
-        vals = intensity_samples(rho)
+        vals = intensity_scan(scheme, geometry, params, eps, rho=rho).intensities
         fringe_amplitude = 0.5 * (vals.max() - vals.min())
         # mean-field product formula: the oscillating part is
         # 2 Re[<E_A>^* <E_B>], with amplitude 2 |<E_A>||<E_B>|
-        det_ref = Detector(n_ref, eps)
-        op_a = field_operator(scheme, geometry, det_ref, "A")
-        op_b = field_operator(scheme, geometry, det_ref, "B")
         expected = 2.0 * abs(mean_field(op_a, rho)) * abs(mean_field(op_b, rho))
         worst = max(worst, abs(fringe_amplitude - expected))
         if c_e * c_g == 0.0:
@@ -393,17 +380,12 @@ def _superposition_group(geometry) -> Group:
     )
     # both atoms excited: no intensity fringes, full coincidence fringes
     rho_e = pure_state([1.0, 0.0])
-    vals = intensity_samples(rho_e)
-    flat = float(vals.max() - vals.min())
-    det_1 = Detector(n_ref, eps)
-    op_a1 = field_operator(scheme, geometry, det_1, "A")
-    op_b1 = field_operator(scheme, geometry, det_1, "B")
-    g2_vals = []
-    for theta in angles:
-        det_2 = Detector(scan_direction("xy", theta), eps)
-        op_a2 = field_operator(scheme, geometry, det_2, "A", require_transverse=False)
-        op_b2 = field_operator(scheme, geometry, det_2, "B", require_transverse=False)
-        g2_vals.append(g2_factorized(op_a1, op_b1, op_a2, op_b2, rho_e))
+    scan = intensity_scan(scheme, geometry, params, eps, rho=rho_e)
+    flat = float(scan.intensities.max() - scan.intensities.min())
+    g2_vals = [
+        g2_factorized(scheme, geometry, det_ref, Detector(n, eps), rho_e)
+        for n in scan_direction("xy", scan.angles)
+    ]
     depth = scan_depth(np.asarray(g2_vals))
     group.add(
         "excited_pair_contrast",

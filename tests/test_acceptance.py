@@ -146,13 +146,7 @@ def test_criterion_06_oracle_equivalence():
         for _ in range(50):
             det_1 = random_transverse_detector(rng)
             det_2 = random_transverse_detector(rng)
-            ops = (
-                field_operator(scheme, GEOMETRY, det_1, "A"),
-                field_operator(scheme, GEOMETRY, det_1, "B"),
-                field_operator(scheme, GEOMETRY, det_2, "A"),
-                field_operator(scheme, GEOMETRY, det_2, "B"),
-            )
-            fact = g2_factorized(*ops, rho)
+            fact = g2_factorized(scheme, GEOMETRY, det_1, det_2, rho)
             exact = g2_exact(scheme, GEOMETRY, det_1, det_2, rho_pair)
             worst = max(worst, abs(fact - exact))
             cond = conditioned_state(scheme, GEOMETRY, det_1, rho_pair)

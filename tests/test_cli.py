@@ -67,6 +67,25 @@ class TestConfigParsing:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("steady-state", "g = nan"),
+            ("steady-state", "gamma0 = inf"),
+            ("steady-state", "gamma = nan"),
+            ("g2-scan", "separation_wavelengths = inf"),
+            ("steady-state", "t_total = inf"),
+            ("intensity-scan", "drive_direction = 0, nan, 1"),
+            ("intensity-scan", "pol_1_vector = 1, 0, 0, -inf, 0, 0"),
+            ("g2-scan", "pol_2_vector = 1, 0, 0, 0, nan, 0"),
+        ],
+    )
+    def test_non_finite_rejected(self, tmp_path, capsys, command, line):
+        key = line.split("=")[0].strip()
+        path = write_config(tmp_path, line + "\nn_traj = 20\nscan_points = 8\n")
+        assert main([command, "--config", path]) == 2
+        assert f"key '{key}' must be finite" in capsys.readouterr().err
+
     def test_config_error_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "nonsense_key = 1\n")
         assert main(["intensity-scan", "--config", path]) == 2

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from atompair import (
@@ -10,11 +9,11 @@ from atompair import (
     Geometry,
     correlation_point,
     field_operator,
+    g1,
     g2_factorized,
     g2_normalized,
     g2_normalized_closed_form,
     gamma2,
-    gamma2_from_operators,
     hg_level_scheme,
     intensity,
     modulation_depth,
@@ -24,19 +23,22 @@ from atompair import (
     witness_from_g2,
 )
 from atompair.atom_model import Y_HAT, pi_polarization, sigma_polarization
-from atompair.correlations import g2_baseline
 from atompair.scans import g2_scan, scan_direction
 
 from conftest import random_params, random_transverse_detector
 
 
-def operators(scheme, geometry, det_1, det_2):
-    return (
-        field_operator(scheme, geometry, det_1, "A", require_transverse=False),
-        field_operator(scheme, geometry, det_1, "B", require_transverse=False),
-        field_operator(scheme, geometry, det_2, "A", require_transverse=False),
-        field_operator(scheme, geometry, det_2, "B", require_transverse=False),
+def g2_baseline(scheme, geometry, det_1, det_2, rho):
+    """G1_A(1,1) G1_B(2,2) + G1_A(2,2) G1_B(1,1) through the field-operator route."""
+    op_a1, op_b1, op_a2, op_b2 = (
+        field_operator(scheme, geometry, det, atom, require_transverse=False)
+        for det in (det_1, det_2)
+        for atom in ("A", "B")
     )
+    val = g1(op_a1, op_a1, rho) * g1(op_b2, op_b2, rho) + g1(op_a2, op_a2, rho) * g1(
+        op_b1, op_b1, rho
+    )
+    return float(val.real)
 
 
 def sigma_ref():
@@ -47,9 +49,8 @@ class TestG2Factorized:
     def test_coincident_detectors_full_contrast(self, scheme, geometry, params):
         rho = steady_state_analytic(params)
         det = sigma_ref()
-        ops = operators(scheme, geometry, det, det)
-        g2 = g2_factorized(*ops, rho)
-        base = g2_baseline(*ops, rho)
+        g2 = g2_factorized(scheme, geometry, det, det, rho)
+        base = g2_baseline(scheme, geometry, det, det, rho)
         assert_allclose(g2, 2.0 * base, atol=1e-15)  # Gamma2 = 1 at zero phase
 
     def test_orthogonal_polarizations_flat(self, scheme, geometry, params):
@@ -58,7 +59,7 @@ class TestG2Factorized:
         values = []
         for theta in np.linspace(0, 2 * math.pi, 25):
             det_2 = Detector(scan_direction("xy", theta), sigma_polarization(Y_HAT))
-            values.append(g2_factorized(*operators(scheme, geometry, det_1, det_2), rho))
+            values.append(g2_factorized(scheme, geometry, det_1, det_2, rho))
         assert max(values) - min(values) < 1e-15
 
     def test_equal_polarization_pi_phase_zero(self, scheme, geometry, params):
@@ -67,7 +68,7 @@ class TestG2Factorized:
         eps = sigma_polarization(Y_HAT)
         det_1 = Detector(Y_HAT, eps)
         det_2 = Detector(scan_direction("xy", 0.0), eps)  # phase -pi
-        g2 = g2_factorized(*operators(scheme, geometry, det_1, det_2), rho)
+        g2 = g2_factorized(scheme, geometry, det_1, det_2, rho)
         assert abs(g2) < 1e-16
 
     def test_detector_swap_symmetry(self, scheme, geometry, params):
@@ -76,8 +77,8 @@ class TestG2Factorized:
         for _ in range(5):
             det_1 = random_transverse_detector(rng)
             det_2 = random_transverse_detector(rng)
-            forward = g2_factorized(*operators(scheme, geometry, det_1, det_2), rho)
-            backward = g2_factorized(*operators(scheme, geometry, det_2, det_1), rho)
+            forward = g2_factorized(scheme, geometry, det_1, det_2, rho)
+            backward = g2_factorized(scheme, geometry, det_2, det_1, rho)
             assert_allclose(forward, backward, rtol=0, atol=1e-15)
 
     def test_structure_baseline_times_fringe(self, scheme, geometry, params):
@@ -86,23 +87,15 @@ class TestG2Factorized:
         for _ in range(10):
             det_1 = random_transverse_detector(rng)
             det_2 = random_transverse_detector(rng)
-            ops = operators(scheme, geometry, det_1, det_2)
-            g2 = g2_factorized(*ops, rho)
-            base = g2_baseline(*ops, rho)
-            fringe = gamma2_from_operators(*ops, rho)
+            g2 = g2_factorized(scheme, geometry, det_1, det_2, rho)
+            base = g2_baseline(scheme, geometry, det_1, det_2, rho)
+            fringe = correlation_point(scheme, geometry, params, det_1, det_2, rho=rho).gamma2
             assert abs(g2 - base * (1.0 + fringe)) < 1e-12
 
     def test_nonnegative_along_scans(self, scheme, geometry, params):
         for eps in (pi_polarization(Y_HAT), sigma_polarization(Y_HAT)):
             scan = g2_scan(scheme, geometry, params, eps, eps, n_points=120)
             assert np.min(scan.g2_factorized) > -1e-12
-
-    def test_rejects_mixed_up_atoms(self, scheme, geometry, params):
-        rho = steady_state_analytic(params)
-        det = sigma_ref()
-        op_a1, op_b1, op_a2, op_b2 = operators(scheme, geometry, det, det)
-        with pytest.raises(ValueError, match="atom"):
-            g2_factorized(op_b1, op_a1, op_a2, op_b2, rho)
 
 
 class TestGamma2:
@@ -129,10 +122,8 @@ class TestGamma2:
             rho = steady_state_analytic(p)
             det_1 = random_transverse_detector(rng)
             det_2 = random_transverse_detector(rng)
-            ops = operators(hg_level_scheme(p), geometry, det_1, det_2)
-            assert_allclose(
-                gamma2_from_operators(*ops, rho), gamma2(geometry, det_1, det_2), atol=1e-12
-            )
+            point = correlation_point(hg_level_scheme(p), geometry, p, det_1, det_2, rho=rho)
+            assert_allclose(point.gamma2, gamma2(geometry, det_1, det_2), atol=1e-12)
 
     def test_translation_and_label_exchange_invariance(self):
         rng = np.random.default_rng(43)
@@ -218,7 +209,7 @@ class TestG2Normalized:
             norm = g2_normalized(scheme, geometry, params, det_1, det_2)
             i1 = intensity(scheme, geometry, det_1, rho, rho)
             i2 = intensity(scheme, geometry, det_2, rho, rho)
-            g2 = g2_factorized(*operators(scheme, geometry, det_1, det_2), rho)
+            g2 = g2_factorized(scheme, geometry, det_1, det_2, rho)
             assert abs(norm * i1 * i2 - g2) < 1e-10
 
     def test_closed_form_vs_ratio_at_sigma(self, scheme, geometry, params):

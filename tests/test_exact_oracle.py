@@ -9,7 +9,6 @@ from atompair import (
     build_liouvillian,
     conditioned_state,
     evolve,
-    field_operator,
     g2_exact,
     g2_factorized,
     hg_level_scheme,
@@ -30,15 +29,6 @@ from conftest import random_params, random_transverse_detector
 def marginals(rho_ab, dim=4):
     t = rho_ab.reshape(dim, dim, dim, dim)
     return np.einsum("ikjk->ij", t), np.einsum("kikj->ij", t)
-
-
-def operators(scheme, geometry, det_1, det_2):
-    return (
-        field_operator(scheme, geometry, det_1, "A", require_transverse=False),
-        field_operator(scheme, geometry, det_1, "B", require_transverse=False),
-        field_operator(scheme, geometry, det_2, "A", require_transverse=False),
-        field_operator(scheme, geometry, det_2, "B", require_transverse=False),
-    )
 
 
 class TestProductLiouvillian:
@@ -88,7 +78,7 @@ class TestFactorizationTheorem:
             for _ in range(10):
                 det_1 = random_transverse_detector(rng)
                 det_2 = random_transverse_detector(rng)
-                fact = g2_factorized(*operators(scheme, geometry, det_1, det_2), rho)
+                fact = g2_factorized(scheme, geometry, det_1, det_2, rho)
                 exact = g2_exact(scheme, geometry, det_1, det_2, rho_pair)
                 assert abs(fact - exact) < 1e-10
 
@@ -117,7 +107,7 @@ class TestFactorizationTheorem:
         marg_a, marg_b = marginals(cond)
         assert np.linalg.norm(cond - np.kron(marg_a, marg_b)) > 0.1  # non-product
         exact = g2_exact(scheme, geometry, det_1, det_2, cond)
-        fact = g2_factorized(*operators(scheme, geometry, det_1, det_2), marg_a)
+        fact = g2_factorized(scheme, geometry, det_1, det_2, marg_a)
         assert abs(exact - fact) > 1e-4
 
 

@@ -1,0 +1,65 @@
+import numpy as np
+import pytest
+
+from atompair import (
+    Detector,
+    DriveDecayParams,
+    build_liouvillian,
+    g2_normalized_closed_form,
+    hg_level_scheme,
+    intensity,
+    standard_geometry,
+    steady_state_numeric,
+    two_level_scheme,
+)
+from atompair.scans import g2_scan, intensity_scan, reference_direction, scan_direction
+
+PARAMS = DriveDecayParams(g=0.7, gamma0=0.3, gamma=0.5)
+# separation 0.8 and a drive with a component along the atom axis (x), so the
+# drive-relative phase psi of the fixed detector is nonzero
+GEOMETRY = standard_geometry(0.8, (0.3, 0.5, 0.2))
+SCHEMES = {"four-level": hg_level_scheme(PARAMS), "two-level": two_level_scheme(PARAMS.total)}
+
+
+def unit(v):
+    v = np.asarray(v, dtype=complex)
+    return v / np.linalg.norm(v)
+
+
+# the scans hold the analyzers fixed while the direction moves, so they need
+# not be transverse; each has a z component so the two-level atom is never dark
+ANALYZER_PAIRS = (
+    (unit([1.0, 0.5j, 1.0]), unit([1.0, 0.5j, 1.0])),
+    (unit([1.0, 0.5j, 1.0]), unit([0.3, 1.0, -0.5 + 0.2j])),
+)
+
+
+@pytest.mark.parametrize("plane", ["xy", "xz"])
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+def test_scan_kernel_matches_operator_route(scheme_name, plane):
+    scheme = SCHEMES[scheme_name]
+    rho = steady_state_numeric(build_liouvillian(scheme, PARAMS))
+    assert abs(GEOMETRY.n_l @ GEOMETRY.separation) > 0.1
+    for eps_1, eps_2 in ANALYZER_PAIRS:
+        scan = intensity_scan(scheme, GEOMETRY, PARAMS, eps_1, plane=plane, n_points=37)
+        per_angle = np.array(
+            [
+                intensity(scheme, GEOMETRY, Detector(scan_direction(plane, theta), eps_1), rho, rho)
+                for theta in scan.angles
+            ]
+        )
+        np.testing.assert_allclose(scan.intensities, per_angle, rtol=1e-14, atol=0)
+
+        g2 = g2_scan(scheme, GEOMETRY, PARAMS, eps_1, eps_2, plane=plane, n_points=37)
+        assert np.max(np.abs(g2.g2_factorized - g2.g2_exact)) < 1e-12
+        if scheme_name == "four-level":
+            det_1 = Detector(reference_direction(plane), eps_1)
+            closed = np.array(
+                [
+                    g2_normalized_closed_form(
+                        GEOMETRY, PARAMS, det_1, Detector(scan_direction(plane, theta), eps_2)
+                    )
+                    for theta in g2.angles
+                ]
+            )
+            assert np.max(np.abs(g2.g2_normalized - closed)) < 1e-10

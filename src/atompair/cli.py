@@ -31,6 +31,7 @@ from .dynamics import (
     steady_state_numeric,
     two_level_steady_state_analytic,
 )
+from .farfield import intensity_visibility
 from .scans import g2_scan, intensity_scan, reference_direction, resolve_polarization
 from .validation import model_from_config, run_validation
 
@@ -109,11 +110,14 @@ def _write_table(config: RunConfig, default_name: str, metadata: dict, columns: 
         print(f"wrote {path}")
 
 
-def _scan_polarizations(config: RunConfig):
+def _scan_inputs(config: RunConfig):
+    """Model, analyzer vectors and the steady state a scan command scans."""
+    scheme, params, geometry = model_from_config(config)
     n_ref = reference_direction(config.scan_plane)
     eps_1 = resolve_polarization(config.pol_1, n_ref, config.polarization_vector(1))
     eps_2 = resolve_polarization(config.pol_2, n_ref, config.polarization_vector(2))
-    return eps_1, eps_2
+    rho = steady_state_numeric(build_liouvillian(scheme, params))
+    return scheme, params, geometry, eps_1, eps_2, rho
 
 
 def _entry_labels(dim: int) -> list[tuple[str, int, int]]:
@@ -173,16 +177,15 @@ def cmd_steady_state(config: RunConfig) -> int:
 
 
 def cmd_intensity_scan(config: RunConfig) -> int:
-    scheme, params, geometry = model_from_config(config)
-    eps_1, _ = _scan_polarizations(config)
+    scheme, params, geometry, eps_1, _, rho = _scan_inputs(config)
     scan = intensity_scan(
-        scheme, geometry, params, eps_1, plane=config.scan_plane, n_points=config.scan_points
+        scheme, geometry, eps_1, rho, plane=config.scan_plane, n_points=config.scan_points
     )
     metadata = dict(_config_echo(config))
     metadata.update(
         coherence_damping_rate=params.total,
         visibility=scan.visibility,
-        visibility_closed_form=scan.visibility_closed_form,
+        visibility_closed_form=intensity_visibility(params, eps_1),
     )
     columns = {
         "angle": scan.angles,
@@ -194,16 +197,9 @@ def cmd_intensity_scan(config: RunConfig) -> int:
 
 
 def cmd_g2_scan(config: RunConfig) -> int:
-    scheme, params, geometry = model_from_config(config)
-    eps_1, eps_2 = _scan_polarizations(config)
+    scheme, params, geometry, eps_1, eps_2, rho = _scan_inputs(config)
     scan = g2_scan(
-        scheme,
-        geometry,
-        params,
-        eps_1,
-        eps_2,
-        plane=config.scan_plane,
-        n_points=config.scan_points,
+        scheme, geometry, eps_1, eps_2, rho, plane=config.scan_plane, n_points=config.scan_points
     )
     metadata = dict(_config_echo(config))
     metadata.update(

@@ -4,7 +4,7 @@ The config file format is flat ``key = value`` text: one assignment per
 line, ``#`` starts a comment, keys are exactly the RunConfig field names.
 Vectors are comma-separated floats; complex analyzer vectors list six
 floats (re_x, im_x, re_y, im_y, re_z, im_z).  Parse errors name the line
-and key.
+and key; every ``RunConfig`` is checked when built, ``replace`` overrides too.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ class RunConfig:
     # output
     path: str = ""
     format: str = "csv"
+
+    def __post_init__(self) -> None:
+        _validate(self)
 
     def polarization_vector(self, which: int) -> np.ndarray | None:
         raw = self.pol_1_vector if which == 1 else self.pol_2_vector
@@ -118,9 +121,7 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: key '{key}' must be one of {_CHOICES[key]}, got {values[key]!r}"
             )
-    config = replace(default_config(), **values)
-    _validate(config)
-    return config
+    return replace(default_config(), **values)
 
 
 def _validate(config: RunConfig) -> None:
@@ -140,6 +141,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("key 'scan_points' must be >= 2")
     if config.n_traj < 1:
         raise ConfigError("key 'n_traj' must be >= 1")
+    if config.seed < 0:
+        raise ConfigError("key 'seed' must be >= 0")
     if config.t_total <= 0:
         raise ConfigError("key 't_total' must be > 0")
     if not np.linalg.norm(config.drive_direction) > 0:

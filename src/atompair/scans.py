@@ -35,6 +35,10 @@ the geometric phases move with the scan direction n:
 evaluated as numpy expressions over the whole phase array (see
 :mod:`atompair.correlations`).  The exact column of :func:`g2_scan` is the
 product-space oracle, evaluated independently at every scan point.
+
+Both scans take the single-atom state ``rho`` they scan (the pair is
+``rho (x) rho``), stationary or not, and solve no steady state; closed forms
+take ``params``, and callers that compare against them call them.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import numpy as np
 
 from .atom_model import (
     Detector,
-    DriveDecayParams,
     Geometry,
     LevelScheme,
     pi_polarization,
@@ -54,9 +57,7 @@ from .atom_model import (
     transverse_projection,
 )
 from .correlations import _correlations, _fringe_phase, _intensity, _traces
-from .dynamics import build_liouvillian, steady_state_numeric
 from .exact_oracle import g2_exact
-from .farfield import intensity_visibility
 
 __all__ = [
     "scan_angles",
@@ -137,24 +138,20 @@ class IntensityScan:
     phases: np.ndarray          # k (n - n_l).(R_A - R_B)
     intensities: np.ndarray
     visibility: float           # (max - min)/(max + min) of the samples
-    visibility_closed_form: float
     polarization: np.ndarray
 
 
 def intensity_scan(
     scheme: LevelScheme,
     geometry: Geometry,
-    params: DriveDecayParams,
     polarization,
+    rho: np.ndarray,
     *,
     plane: str = "xy",
     n_points: int = 360,
-    rho: np.ndarray | None = None,
 ) -> IntensityScan:
-    """Steady-state far-field intensity over a full circle of directions."""
+    """Far-field intensity of two atoms in state rho over a full circle of directions."""
     epsilon = np.asarray(polarization, dtype=complex).reshape(3)
-    if rho is None:
-        rho = steady_state_numeric(build_liouvillian(scheme, params))
     angles = scan_angles(n_points)
     phases = _fringe_phase(geometry, scan_direction(plane, angles))
     a, m = _traces(scheme, rho, epsilon)
@@ -164,7 +161,6 @@ def intensity_scan(
         phases=phases,
         intensities=values,
         visibility=scan_depth(values),
-        visibility_closed_form=intensity_visibility(params, epsilon),
         polarization=epsilon,
     )
 
@@ -188,20 +184,19 @@ class G2Scan:
 def g2_scan(
     scheme: LevelScheme,
     geometry: Geometry,
-    params: DriveDecayParams,
     polarization_1,
     polarization_2,
+    rho: np.ndarray,
     *,
     plane: str = "xy",
     n_points: int = 360,
 ) -> G2Scan:
-    """Coincidence quantities with detector 1 fixed at the reference direction
-    and detector 2 sweeping the scan plane, both analyzers held fixed."""
+    """Coincidences of two atoms in state rho: detector 1 fixed at the reference
+    direction, detector 2 sweeping the scan plane, both analyzers held fixed."""
     eps_1 = np.asarray(polarization_1, dtype=complex).reshape(3)
     eps_2 = np.asarray(polarization_2, dtype=complex).reshape(3)
     n_ref = reference_direction(plane)
     det_1 = Detector(n_ref, eps_1)
-    rho = steady_state_numeric(build_liouvillian(scheme, params))
     rho_pair = np.kron(rho, rho)
 
     angles = scan_angles(n_points)

@@ -1,14 +1,17 @@
-import numpy as np
 import pytest
 
 from atompair import (
-    Detector,
     DriveDecayParams,
+    build_liouvillian,
     hg_level_scheme,
-    make_detector,
     standard_geometry,
-    transverse_basis,
+    steady_state_numeric,
 )
+
+# the same random draws as the validate suite: g log-uniform over
+# [0.01, 100] Gamma with random branching, and random transverse detectors
+from atompair.validation import _random_detector as random_transverse_detector  # noqa: F401
+from atompair.validation import _random_params as random_params  # noqa: F401
 
 
 @pytest.fixture
@@ -22,22 +25,10 @@ def scheme(params):
 
 
 @pytest.fixture
+def rho(scheme, params):
+    return steady_state_numeric(build_liouvillian(scheme, params))
+
+
+@pytest.fixture
 def geometry():
     return standard_geometry(0.5)
-
-
-def random_params(rng):
-    """g log-uniform over [0.01, 100] Gamma with random branching."""
-    gamma0 = rng.uniform(0.1, 2.0)
-    gamma = rng.uniform(0.1, 2.0)
-    g = (gamma0 + gamma) * 10.0 ** rng.uniform(-2.0, 2.0)
-    return DriveDecayParams(g=g, gamma0=gamma0, gamma=gamma)
-
-
-def random_transverse_detector(rng) -> Detector:
-    n = rng.normal(size=3)
-    n /= np.linalg.norm(n)
-    e1, e2 = transverse_basis(n)
-    amp = rng.normal(size=2) + 1j * rng.normal(size=2)
-    eps = amp[0] * e1 + amp[1] * e2
-    return make_detector(n, eps / np.linalg.norm(eps))

@@ -86,6 +86,17 @@ class TestExitCodes:
         assert main([command, "--config", path]) == 2
         assert f"key '{key}' must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["steady-state", "intensity-scan", "g2-scan", "validate"])
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command, source):
+        # a --seed override passes the same checks as the config file
+        if source == "config":
+            argv = [command, "--config", write_config(tmp_path, "seed = -1\n")]
+        else:
+            argv = [command, "--seed", "-3"]
+        assert main(argv) == 2
+        assert "key 'seed' must be >= 0" in capsys.readouterr().err
+
     def test_config_error_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "nonsense_key = 1\n")
         assert main(["intensity-scan", "--config", path]) == 2

@@ -7,6 +7,7 @@ from atompair import (
     Detector,
     DriveDecayParams,
     Geometry,
+    build_liouvillian,
     correlation_point,
     field_operator,
     g1,
@@ -20,6 +21,7 @@ from atompair import (
     nonclassicality_witness,
     standard_geometry,
     steady_state_analytic,
+    steady_state_numeric,
     witness_from_g2,
 )
 from atompair.atom_model import Y_HAT, pi_polarization, sigma_polarization
@@ -92,9 +94,9 @@ class TestG2Factorized:
             fringe = correlation_point(scheme, geometry, params, det_1, det_2, rho=rho).gamma2
             assert abs(g2 - base * (1.0 + fringe)) < 1e-12
 
-    def test_nonnegative_along_scans(self, scheme, geometry, params):
+    def test_nonnegative_along_scans(self, scheme, geometry, rho):
         for eps in (pi_polarization(Y_HAT), sigma_polarization(Y_HAT)):
-            scan = g2_scan(scheme, geometry, params, eps, eps, n_points=120)
+            scan = g2_scan(scheme, geometry, eps, eps, rho, n_points=120)
             assert np.min(scan.g2_factorized) > -1e-12
 
 
@@ -173,8 +175,9 @@ class TestModulationDepth:
         for g in (0.01, 0.1, 1.0, 10.0, 100.0):
             p = DriveDecayParams(g=g, gamma0=0.5, gamma=0.5)
             scheme = hg_level_scheme(p)
+            rho = steady_state_numeric(build_liouvillian(scheme, p))
             for eps_2, expected in ((eps_sigma, 1.0), (eps_half, 0.5), (eps_pi, 0.0)):
-                scan = g2_scan(scheme, geometry, p, eps_sigma, eps_2, n_points=360)
+                scan = g2_scan(scheme, geometry, eps_sigma, eps_2, rho, n_points=360)
                 assert abs(scan.modulation_depth - expected) < 1e-9
 
 

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from atompair import (
     Detector,
     DriveDecayParams,
+    build_liouvillian,
     field_operator,
     g1,
     hg_level_scheme,
@@ -17,6 +18,7 @@ from atompair import (
     pure_state,
     standard_geometry,
     steady_state_analytic,
+    steady_state_numeric,
     two_level_scheme,
 )
 from atompair.atom_model import Y_HAT, Z_HAT, pi_polarization, sigma_polarization
@@ -167,22 +169,23 @@ class TestIntensity:
             det = Detector(scan_direction("xy", theta), eps)
             assert_allclose(intensity(scheme, geometry, det, rho, rho), expected, atol=1e-15)
 
-    def test_pi_visibility_one_third(self, scheme, geometry, params):
-        scan = intensity_scan(scheme, geometry, params, pi_polarization(Y_HAT))
+    def test_pi_visibility_one_third(self, scheme, geometry, rho):
+        scan = intensity_scan(scheme, geometry, pi_polarization(Y_HAT), rho)
         assert_allclose(scan.visibility, 1.0 / 3.0, atol=1e-12)
 
     def test_two_level_fringe_formula(self, geometry):
         # intensity ~ 2g^2/(2g^2+gamma^2) [1 + gamma^2/(2g^2+gamma^2) cos phi]
         p = DriveDecayParams(g=0.8, gamma0=0.0, gamma=1.0)
         scheme = two_level_scheme(p.total)
-        scan = intensity_scan(scheme, geometry, p, pi_polarization(Y_HAT))
+        rho = steady_state_numeric(build_liouvillian(scheme, p))
+        scan = intensity_scan(scheme, geometry, pi_polarization(Y_HAT), rho)
         denom = 2 * p.g**2 + p.total**2
         prefactor = p.g**2 / denom  # rho_ee with |eps.d| = 1, two atoms
         expected = 2 * prefactor * (1.0 + (p.total**2 / denom) * np.cos(scan.phases))
         assert_allclose(scan.intensities, expected, atol=1e-14)
 
-    def test_positivity_and_extrema_location(self, scheme, geometry, params):
-        scan = intensity_scan(scheme, geometry, params, pi_polarization(Y_HAT))
+    def test_positivity_and_extrema_location(self, scheme, geometry, rho):
+        scan = intensity_scan(scheme, geometry, pi_polarization(Y_HAT), rho)
         assert np.all(scan.intensities >= 0)
         assert_allclose(scan.intensities[np.argmax(np.cos(scan.phases))], scan.intensities.max())
         assert_allclose(scan.intensities[np.argmin(np.cos(scan.phases))], scan.intensities.min())
@@ -238,10 +241,10 @@ class TestVisibilityClosedForm:
     def test_g_equals_gamma(self, params):
         assert_allclose(intensity_visibility(params, Z_HAT), 1.0 / 3.0, atol=1e-15)
 
-    def test_matches_scan_for_mixed_polarization(self, scheme, geometry, params):
+    def test_matches_scan_for_mixed_polarization(self, scheme, geometry, params, rho):
         # closed form holds for analyzers mixing pi and sigma channels too
         eps = (pi_polarization(Y_HAT) + sigma_polarization(Y_HAT)) / math.sqrt(2)
-        scan = intensity_scan(scheme, geometry, params, eps)
+        scan = intensity_scan(scheme, geometry, eps, rho)
         assert_allclose(scan.visibility, intensity_visibility(params, eps), atol=1e-12)
         assert_allclose(scan.visibility, 1.0 / 6.0, atol=1e-12)
 

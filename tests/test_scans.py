@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from atompair import (
     g2_normalized_closed_form,
     hg_level_scheme,
     intensity,
+    pure_state,
     standard_geometry,
     steady_state_numeric,
     two_level_scheme,
@@ -19,6 +22,12 @@ PARAMS = DriveDecayParams(g=0.7, gamma0=0.3, gamma=0.5)
 # drive-relative phase psi of the fixed detector is nonzero
 GEOMETRY = standard_geometry(0.8, (0.3, 0.5, 0.2))
 SCHEMES = {"four-level": hg_level_scheme(PARAMS), "two-level": two_level_scheme(PARAMS.total)}
+# scans take any single-atom state: pure superpositions that are not stationary
+# (four-level order: excited 0, 2; ground 1, 3)
+SUPERPOSITIONS = {
+    "four-level": pure_state([0.6, 0.3j, 0.5, -0.4 + 0.2j]),
+    "two-level": pure_state([0.6, 0.8j]),
+}
 
 
 def unit(v):
@@ -38,10 +47,10 @@ ANALYZER_PAIRS = (
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
 def test_scan_kernel_matches_operator_route(scheme_name, plane):
     scheme = SCHEMES[scheme_name]
-    rho = steady_state_numeric(build_liouvillian(scheme, PARAMS))
+    steady = steady_state_numeric(build_liouvillian(scheme, PARAMS))
     assert abs(GEOMETRY.n_l @ GEOMETRY.separation) > 0.1
-    for eps_1, eps_2 in ANALYZER_PAIRS:
-        scan = intensity_scan(scheme, GEOMETRY, PARAMS, eps_1, plane=plane, n_points=37)
+    for rho, (eps_1, eps_2) in itertools.product((steady, SUPERPOSITIONS[scheme_name]), ANALYZER_PAIRS):
+        scan = intensity_scan(scheme, GEOMETRY, eps_1, rho, plane=plane, n_points=37)
         per_angle = np.array(
             [
                 intensity(scheme, GEOMETRY, Detector(scan_direction(plane, theta), eps_1), rho, rho)
@@ -50,9 +59,10 @@ def test_scan_kernel_matches_operator_route(scheme_name, plane):
         )
         np.testing.assert_allclose(scan.intensities, per_angle, rtol=1e-14, atol=0)
 
-        g2 = g2_scan(scheme, GEOMETRY, PARAMS, eps_1, eps_2, plane=plane, n_points=37)
+        g2 = g2_scan(scheme, GEOMETRY, eps_1, eps_2, rho, plane=plane, n_points=37)
         assert np.max(np.abs(g2.g2_factorized - g2.g2_exact)) < 1e-12
-        if scheme_name == "four-level":
+        # the closed form describes the steady state only
+        if scheme_name == "four-level" and rho is steady:
             det_1 = Detector(reference_direction(plane), eps_1)
             closed = np.array(
                 [

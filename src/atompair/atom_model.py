@@ -158,8 +158,9 @@ class Detector:
     """Far-field observation direction plus the analyzer polarization vector.
 
     Construction only validates the unit norms.  Physical analyzers are
-    transverse (eps^dag . n = 0); build those through :func:`make_detector`
-    or the pi/sigma keyword helpers.  The scan code deliberately reuses one
+    transverse (eps^dag . n = 0); build those through :func:`make_detector`,
+    the package's one transversality check, or the pi/sigma keyword helpers,
+    transverse by construction.  The scan code deliberately reuses one
     fixed polarization vector while the direction moves (matched-analyzer
     idealization), which is why transversality is not hard-wired here.
     """
@@ -255,10 +256,11 @@ def transverse_projection(n, v) -> np.ndarray:
     return v - n * (n @ v)
 
 
-def _keyword_polarization(n, axis_vector, label: str) -> np.ndarray:
-    proj = transverse_projection(n, axis_vector)
+def _keyword_polarization(n, vector, label: str) -> np.ndarray:
+    """Normalized transverse projection of ``vector`` at n; null on the vector's own scale."""
+    proj = transverse_projection(n, vector)
     norm = np.linalg.norm(proj)
-    if norm < 1e-8:
+    if norm <= 1e-8 * np.linalg.norm(vector):
         raise ValueError(
             f"{label} polarization is undefined for observation direction {np.asarray(n)}: "
             "the transverse projection vanishes"

@@ -31,7 +31,7 @@ from .dynamics import (
     steady_state_numeric,
     two_level_steady_state_analytic,
 )
-from .farfield import intensity_visibility
+from .farfield import intensity_visibility, lowering_coefficients
 from .scans import g2_scan, intensity_scan, reference_direction, resolve_polarization
 from .validation import model_from_config, run_validation
 
@@ -198,6 +198,12 @@ def cmd_intensity_scan(config: RunConfig) -> int:
 
 def cmd_g2_scan(config: RunConfig) -> int:
     scheme, params, geometry, eps_1, eps_2, rho = _scan_inputs(config)
+    for which, eps in ((1, eps_1), (2, eps_2)):
+        if not np.any(lowering_coefficients(scheme, eps)):
+            raise ConfigError(
+                f"key 'pol_{which}' selects an analyzer that sees no light from the "
+                f"{config.scheme} scheme, so g2(1,2) and the witness are undefined"
+            )
     scan = g2_scan(
         scheme, geometry, eps_1, eps_2, rho, plane=config.scan_plane, n_points=config.scan_points
     )

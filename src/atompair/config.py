@@ -148,8 +148,11 @@ def _validate(config: RunConfig) -> None:
     if not np.linalg.norm(config.drive_direction) > 0:
         raise ConfigError("key 'drive_direction' must be a nonzero vector")
     for which, kind in ((1, config.pol_1), (2, config.pol_2)):
-        if kind == "custom" and config.polarization_vector(which) is None:
+        vector = config.polarization_vector(which)
+        if kind == "custom" and vector is None:
             raise ConfigError(f"key 'pol_{which}' is custom but 'pol_{which}_vector' is missing")
+        if vector is not None and not np.any(vector):
+            raise ConfigError(f"key 'pol_{which}_vector' must be a nonzero vector")
 
 
 def load_config(path: str) -> RunConfig:

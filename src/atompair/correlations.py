@@ -41,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom_model import Detector, DriveDecayParams, Geometry, LevelScheme, WAVENUMBER, Z_HAT
+from .atom_model import Detector, DriveDecayParams, Geometry, LevelScheme, WAVENUMBER
 from .dynamics import build_liouvillian, steady_state_numeric
 from .farfield import g1  # noqa: F401  (perfbench/tests checks the tracer rebinds this alias)
-from .farfield import intensity_modulation_factor, lowering_coefficients
+from .farfield import intensity_visibility, lowering_coefficients
 
 __all__ = [
     "WitnessResult",
@@ -135,8 +135,7 @@ def gamma2(geometry: Geometry, det_1: Detector, det_2: Detector) -> float:
     Depends only on the analyzer overlap and the detector-pair geometry;
     drive and decay rates never enter.
     """
-    phase = WAVENUMBER * ((det_1.n - det_2.n) @ geometry.separation)
-    return modulation_depth(det_1, det_2) * math.cos(phase)
+    return modulation_depth(det_1, det_2) * math.cos(_fringe_phase(geometry, det_1.n, det_2.n))
 
 
 def modulation_depth(det_1: Detector, det_2: Detector) -> float:
@@ -167,24 +166,20 @@ def g2_normalized_closed_form(
 ) -> float:
     """Closed-form normalized coincidence for the four-level scheme:
 
-        g2(1,2) = (1 / (2 D(1) D(2))) (1 + |eps1^dag.eps2|^2 cos phi12),
-        D(i)    = 1 + Gamma^2/(2 g^2 + Gamma^2) |z.eps_i|^2 cos phi_i,
+        g2(1,2) = (1 / (2 D(1) D(2))) (1 + Gamma2(1,2)),
+        D(i)    = 1 + V(eps_i) cos psi_i,
 
-    with the detector-pair phase phi12 = k (n1 - n2).(R_A - R_B) and each
-    detector's own drive-relative fringe phase phi_i = k (n_i - n_l).(R_A - R_B)
+    with the interference factor Gamma2(1,2) of :func:`gamma2`, the intensity
+    visibility V of :func:`atompair.farfield.intensity_visibility`, and each
+    detector's own drive-relative fringe phase psi_i = k (n_i - n_l).(R_A - R_B)
     in its intensity factor D(i).  Equals the defining ratio of
     :func:`g2_normalized`.
     """
-    separation = geometry.separation
-    phi12 = WAVENUMBER * ((det_1.n - det_2.n) @ separation)
-    mod = intensity_modulation_factor(params)
-    factors = []
-    for det in (det_1, det_2):
-        z_weight = abs(Z_HAT @ det.epsilon) ** 2
-        phase = WAVENUMBER * ((det.n - geometry.n_l) @ separation)
-        factors.append(1.0 + mod * z_weight * math.cos(phase))
-    m = modulation_depth(det_1, det_2)
-    return (1.0 + m * math.cos(phi12)) / (2.0 * factors[0] * factors[1])
+    d_1, d_2 = (
+        1.0 + intensity_visibility(params, det.epsilon) * math.cos(_fringe_phase(geometry, det.n))
+        for det in (det_1, det_2)
+    )
+    return (1.0 + gamma2(geometry, det_1, det_2)) / (2.0 * d_1 * d_2)
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,7 @@ def evolve(liouvillian: np.ndarray, rho0, t_final: float, dt: float) -> np.ndarr
     return unvectorize(vec, dim)
 
 
-def steady_state_numeric(liouvillian: np.ndarray, *, degeneracy_tol: float = 1e-10) -> np.ndarray:
+def steady_state_numeric(liouvillian: np.ndarray) -> np.ndarray:
     """Steady state as the (unique) null vector of the Liouvillian.
 
     Uses a dense SVD; the returned matrix is Hermitized and trace
@@ -223,8 +223,8 @@ def steady_state_numeric(liouvillian: np.ndarray, *, degeneracy_tol: float = 1e-
     scale = svals[0] if svals[0] > 0 else 1.0
     if svals[-1] > 1e-8 * scale:
         raise ValueError("Liouvillian has no null vector (not trace preserving?)")
-    if svals[-2] < degeneracy_tol * scale:
-        n_null = int(np.sum(svals < degeneracy_tol * scale))
+    if svals[-2] < 1e-10 * scale:
+        n_null = int(np.sum(svals < 1e-10 * scale))
         raise DegenerateSteadyStateError(
             f"steady state is not unique: Liouvillian null space has dimension {n_null} "
             "(undriven ground-manifold populations are all stationary at g = 0)"
@@ -237,15 +237,8 @@ def steady_state_numeric(liouvillian: np.ndarray, *, degeneracy_tol: float = 1e-
     return 0.5 * (candidate + candidate.conj().T)
 
 
-def steady_state_analytic(params: DriveDecayParams, *, corrected: bool = True) -> np.ndarray:
-    """Closed-form steady state of the four-level scheme (module docstring).
-
-    With ``corrected=False`` the ground populations use a discarded candidate
-    formula, rho22 = rho44 = 1 - (3 g^2 - Gamma^2)/(2 (2 g^2 + Gamma^2)),
-    which violates trace normalization (trace -> 3 as g -> 0).  It is kept
-    only so the validation report can demonstrate that the trace and
-    stationarity checks reject it.
-    """
+def steady_state_analytic(params: DriveDecayParams) -> np.ndarray:
+    """Closed-form steady state of the four-level scheme (module docstring)."""
     if params.g <= 0:
         raise ValueError("closed-form steady state requires g > 0")
     g = params.g
@@ -253,10 +246,7 @@ def steady_state_analytic(params: DriveDecayParams, *, corrected: bool = True) -
     denom = 2.0 * (2.0 * g**2 + gam**2)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[2, 2] = g**2 / denom
-    if corrected:
-        rho[1, 1] = rho[3, 3] = (g**2 + gam**2) / denom
-    else:
-        rho[1, 1] = rho[3, 3] = 1.0 - (3.0 * g**2 - gam**2) / denom
+    rho[1, 1] = rho[3, 3] = (g**2 + gam**2) / denom
     rho[0, 1] = 1j * g * gam / denom
     rho[1, 0] = rho[0, 1].conjugate()
     rho[2, 3] = -rho[0, 1]
@@ -302,7 +292,6 @@ def quantum_jump_estimate(
     t_total: float,
     seed: int,
     *,
-    dt: float | None = None,
     burn_fraction: float = 0.1,
     initial_level: int | None = None,
 ) -> QuantumJumpResult:
@@ -318,8 +307,9 @@ def quantum_jump_estimate(
     exact propagation inside one grid step (no discretization bias), and the channel is drawn
     with weights rate_c |psi_upper_c|^2 there.  Each round moves every live trajectory one jump
     ahead, vectorized, so the cost scales with the jumps.  The normalized projector is sampled
-    on the grid t_n = n dt; after the first ``burn_fraction`` of the grid, samples are time
-    averaged per trajectory, and each entry's standard error is taken across trajectories.
+    on the fixed grid t_n = n dt, dt = 0.02/Gamma; after the first ``burn_fraction`` of the
+    grid, samples are time averaged per trajectory, and each entry's standard error is taken
+    across trajectories.
 
     Determinism: trajectory i draws only from its own substream of ``SeedSequence(seed)``,
     in a fixed order (the first threshold; per jump, the channel, then the next threshold),
@@ -336,8 +326,7 @@ def quantum_jump_estimate(
         initial_level = min(scheme.ground_levels)
     if not 0 <= initial_level < dim:
         raise ValueError(f"initial level {initial_level} out of range")
-    if dt is None:
-        dt = 0.02 / params.total
+    dt = 0.02 / params.total
     n_steps = int(round(t_total / dt))
     n_samples = n_steps - int(round(burn_fraction * n_steps))
     if n_samples == 0:

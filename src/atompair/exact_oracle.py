@@ -65,8 +65,8 @@ def _check_pair_state(scheme: LevelScheme, rho_ab) -> np.ndarray:
     return rho_ab
 
 
-def _real_trace(value: complex, label: str, tol: float = 1e-10) -> float:
-    if abs(value.imag) > tol * max(1.0, abs(value.real)):
+def _real_trace(value: complex, label: str) -> float:
+    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise ValueError(f"{label} should be real, got imaginary part {value.imag:.3e}")
     return float(value.real)
 

@@ -32,13 +32,11 @@ from .atom_model import (
 __all__ = [
     "FieldOperator",
     "lowering_coefficients",
-    "atom_position",
     "geometric_phase",
     "field_operator",
     "mean_field",
     "g1",
     "intensity",
-    "intensity_modulation_factor",
     "intensity_visibility",
 ]
 
@@ -52,17 +50,11 @@ def lowering_coefficients(scheme: LevelScheme, epsilon) -> np.ndarray:
     return coeff
 
 
-def atom_position(geometry: Geometry, atom: str) -> np.ndarray:
-    if atom == "A":
-        return geometry.r_a
-    if atom == "B":
-        return geometry.r_b
-    raise ValueError(f"atom must be 'A' or 'B', got {atom!r}")
-
-
 def geometric_phase(geometry: Geometry, detector: Detector, atom: str) -> complex:
     """exp(-i k (n - n_l) . R_atom) with k = 2*pi and positions in wavelengths."""
-    r = atom_position(geometry, atom)
+    if atom not in ("A", "B"):
+        raise ValueError(f"atom must be 'A' or 'B', got {atom!r}")
+    r = geometry.r_a if atom == "A" else geometry.r_b
     return complex(np.exp(-1j * WAVENUMBER * ((detector.n - geometry.n_l) @ r)))
 
 
@@ -75,44 +67,22 @@ class FieldOperator:
     """
 
     atom: str
-    detector: Detector
     phase: complex
     coeff: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.coeff.shape[0]
-
 
 def field_operator(
-    scheme: LevelScheme,
-    geometry: Geometry,
-    detector: Detector,
-    atom: str,
-    *,
-    require_transverse: bool = True,
+    scheme: LevelScheme, geometry: Geometry, detector: Detector, atom: str
 ) -> FieldOperator:
     """Field operator of ``atom`` ("A" or "B") as seen by ``detector``.
 
-    ``require_transverse`` rejects analyzers with eps^dag . n != 0.  The scan
-    code disables the check: there the analyzer vector is fixed at the
-    reference direction while the observation direction moves (matched
-    analyzers, the idealization under which equal polarizations give unit
-    second-order fringe contrast).
+    Any :class:`Detector` is accepted: the scans hold the analyzer vector
+    fixed while the observation direction moves (matched analyzers), and
+    physical transverse analyzers come from ``make_detector``.
     """
-    if require_transverse and detector.transversality_defect() > 1e-9:
-        raise ValueError(
-            "detector polarization is not transverse to its observation direction "
-            f"(|eps^dag.n| = {detector.transversality_defect():.3e})"
-        )
     coeff = lowering_coefficients(scheme, detector.epsilon)
     coeff.setflags(write=False)
-    return FieldOperator(
-        atom=atom,
-        detector=detector,
-        phase=geometric_phase(geometry, detector, atom),
-        coeff=coeff,
-    )
+    return FieldOperator(atom=atom, phase=geometric_phase(geometry, detector, atom), coeff=coeff)
 
 
 def _check_rho(op: FieldOperator, rho) -> np.ndarray:
@@ -147,33 +117,17 @@ def g1(op_i: FieldOperator, op_j: FieldOperator, rho) -> complex:
     )
 
 
-def intensity(
-    scheme: LevelScheme,
-    geometry: Geometry,
-    detector: Detector,
-    rho_a,
-    rho_b,
-    *,
-    require_transverse: bool = False,
-) -> float:
+def intensity(scheme: LevelScheme, geometry: Geometry, detector: Detector, rho_a, rho_b) -> float:
     """Far-field intensity of the pair for uncorrelated atoms in states rho_a, rho_b.
 
     I = G1_A(1,1) + G1_B(1,1) + 2 Re[<E_A^(+)>^* <E_B^(+)>]; the cross term
     carries the fringe phase k (n - n_l).(R_A - R_B).
     """
-    op_a = field_operator(scheme, geometry, detector, "A", require_transverse=require_transverse)
-    op_b = field_operator(scheme, geometry, detector, "B", require_transverse=require_transverse)
+    op_a = field_operator(scheme, geometry, detector, "A")
+    op_b = field_operator(scheme, geometry, detector, "B")
     baseline = g1(op_a, op_a, rho_a).real + g1(op_b, op_b, rho_b).real
     cross = 2.0 * (np.conj(mean_field(op_a, rho_a)) * mean_field(op_b, rho_b)).real
     return float(baseline + cross)
-
-
-def intensity_modulation_factor(params: DriveDecayParams) -> float:
-    """|2 rho12|^2 / (2 rho11) in steady state = Gamma^2 / (2 g^2 + Gamma^2)."""
-    if params.g <= 0:
-        raise ValueError("modulation factor requires g > 0")
-    gam = params.total
-    return gam**2 / (2.0 * params.g**2 + gam**2)
 
 
 def intensity_visibility(params: DriveDecayParams, epsilon) -> float:
@@ -183,9 +137,12 @@ def intensity_visibility(params: DriveDecayParams, epsilon) -> float:
     scan with the analyzer vector ``epsilon`` held fixed; the scan is the
     independent cross-check, this is the formula.
     """
+    if params.g <= 0:
+        raise ValueError("visibility closed form requires g > 0")
     epsilon = np.asarray(epsilon, dtype=complex).reshape(3)
     norm2 = np.vdot(epsilon, epsilon).real
     if norm2 <= 0:
         raise ValueError("polarization vector must be nonzero")
     z_weight = abs(Z_HAT @ epsilon) ** 2 / norm2
-    return intensity_modulation_factor(params) * z_weight
+    gam = params.total
+    return gam**2 / (2.0 * params.g**2 + gam**2) * z_weight

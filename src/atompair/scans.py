@@ -21,7 +21,8 @@ directions move.  For the coincidence scan this is the matched-analyzer
 idealization (both arms configured identically) under which equal
 polarizations give unit fringe contrast at any drive strength; recomputing
 a transverse sigma analyzer at every angle would instead roll the contrast
-off geometrically.
+off geometrically.  Away from the reference direction the held analyzers
+are not transverse, which :class:`atompair.atom_model.Detector` permits.
 
 Phase algebra
 -------------
@@ -52,9 +53,9 @@ from .atom_model import (
     Detector,
     Geometry,
     LevelScheme,
+    _keyword_polarization,
     pi_polarization,
     sigma_polarization,
-    transverse_projection,
 )
 from .correlations import _correlations, _fringe_phase, _intensity, _traces
 from .exact_oracle import g2_exact
@@ -105,8 +106,8 @@ def resolve_polarization(kind: str, n_ref, vector=None) -> np.ndarray:
 
     ``pi``/``sigma`` project the quantization axis / the circular sigma
     vector transverse to ``n_ref`` and normalize; ``custom`` does the same
-    to a user-supplied complex vector.  A numerically null projection is
-    rejected (analyzer lies along the observation direction).
+    to a user-supplied complex vector.  A projection that is numerically null
+    on the vector's own scale is rejected (analyzer along the direction).
     """
     if kind == "pi":
         return pi_polarization(n_ref)
@@ -115,11 +116,7 @@ def resolve_polarization(kind: str, n_ref, vector=None) -> np.ndarray:
     if kind == "custom":
         if vector is None:
             raise ValueError("custom polarization requires an explicit vector")
-        proj = transverse_projection(n_ref, vector)
-        norm = np.linalg.norm(proj)
-        if norm < 1e-8:
-            raise ValueError("custom polarization has no transverse component at the reference direction")
-        return proj / norm
+        return _keyword_polarization(n_ref, vector, "custom")
     raise ValueError(f"polarization must be pi, sigma or custom, got {kind!r}")
 
 
@@ -138,7 +135,6 @@ class IntensityScan:
     phases: np.ndarray          # k (n - n_l).(R_A - R_B)
     intensities: np.ndarray
     visibility: float           # (max - min)/(max + min) of the samples
-    polarization: np.ndarray
 
 
 def intensity_scan(
@@ -161,7 +157,6 @@ def intensity_scan(
         phases=phases,
         intensities=values,
         visibility=scan_depth(values),
-        polarization=epsilon,
     )
 
 
@@ -178,7 +173,6 @@ class G2Scan:
     violated: np.ndarray
     modulation_depth: float     # (max - min)/(max + min) of the factorized column
     modulation_closed_form: float  # |eps1^dag . eps2|^2
-    detector_1: Detector
 
 
 def g2_scan(
@@ -221,5 +215,4 @@ def g2_scan(
         violated=witness.violated,
         modulation_depth=scan_depth(fact),
         modulation_closed_form=float(abs(np.vdot(eps_1, eps_2)) ** 2),
-        detector_1=det_1,
     )

@@ -7,11 +7,11 @@ so the CLI can emit it as a machine-readable file next to the human lines.
 
 The trace-normalization group always demonstrates both sides: the
 implemented closed-form steady state satisfies trace = 1 and L rho = 0,
-while a rejected candidate population formula (kept only for this
-demonstration) blows the trace up to 3 as the drive is switched off.  The
-hidden ``inject_trace_bug`` switch routes the rejected formula into the
-checks to show they would catch it; the group then fails and the command
-exits nonzero.
+while a rejected candidate population formula (:func:`_rejected_steady_state`,
+private to this module and kept only for this demonstration) blows the
+trace up to 3 as the drive is switched off.  The hidden ``inject_trace_bug``
+switch routes the rejected formula into the checks to show they would catch
+it; the group then fails and the command exits nonzero.
 """
 
 from __future__ import annotations
@@ -135,6 +135,15 @@ def _random_detector(rng: np.random.Generator) -> Detector:
     return make_detector(n, eps / np.linalg.norm(eps))
 
 
+def _rejected_steady_state(params: DriveDecayParams) -> np.ndarray:
+    """The closed-form steady state with the rejected ground populations
+    rho22 = rho44 = 1 - (3 g^2 - Gamma^2)/(2 (2 g^2 + Gamma^2)): trace -> 3 as g -> 0."""
+    g, gam = params.g, params.total
+    rho = steady_state_analytic(params)
+    rho[1, 1] = rho[3, 3] = 1.0 - (3.0 * g**2 - gam**2) / (2.0 * (2.0 * g**2 + gam**2))
+    return rho
+
+
 def _steady_state_group(rng: np.random.Generator, inject: bool) -> Group:
     group = Group("steady_state")
     worst_entry = 0.0
@@ -145,7 +154,7 @@ def _steady_state_group(rng: np.random.Generator, inject: bool) -> Group:
         scheme = hg_level_scheme(params)
         liou = build_liouvillian(scheme, params)
         numeric = steady_state_numeric(liou)
-        analytic = steady_state_analytic(params, corrected=not inject)
+        analytic = (_rejected_steady_state if inject else steady_state_analytic)(params)
         worst_entry = max(worst_entry, float(np.max(np.abs(numeric - analytic))))
         # the two driven transitions share no coherence
         cross_zero &= bool(np.all(analytic[np.ix_([0, 1], [2, 3])] == 0.0))
@@ -171,14 +180,14 @@ def _trace_group(inject: bool) -> Group:
     params = DriveDecayParams(g=1.0, gamma0=0.5, gamma=0.5)
     scheme = hg_level_scheme(params)
     liou = build_liouvillian(scheme, params)
-    reference = steady_state_analytic(params, corrected=not inject)
+    reference = (_rejected_steady_state if inject else steady_state_analytic)(params)
     trace_err = abs(reference.trace().real - 1.0)
     residual = liouvillian_residual(liou, reference)
     group.add("trace_is_one", trace_err < 1e-12, f"|trace - 1| = {trace_err:.3e} (tol 1e-12)")
     group.add("stationary", residual < 1e-12, f"|L rho| = {residual:.3e} (tol 1e-12)")
     # demonstration: the rejected candidate formula must be caught
     weak = DriveDecayParams(g=1e-8, gamma0=0.5, gamma=0.5)
-    bad_trace = steady_state_analytic(weak, corrected=False).trace().real
+    bad_trace = _rejected_steady_state(weak).trace().real
     group.add(
         "rejected_variant_detected",
         abs(bad_trace - 3.0) < 1e-6,

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,32 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "key 'seed' must be >= 0" in capsys.readouterr().err
 
+    def test_custom_vector_judged_on_its_own_scale(self, tmp_path):
+        # along x, so transverse to the +y reference direction at any scale
+        tables = []
+        for name, vector in (("unit", "1, 0, 0, 0, 0, 0"), ("scaled", "1e-9, 0, 0, 0, 0, 0")):
+            text = f"pol_1 = custom\npol_1_vector = {vector}\nscan_points = 12\n"
+            out = str(tmp_path / f"{name}.csv")
+            argv = ["g2-scan", "--config", write_config(tmp_path, text, name=f"{name}.cfg")]
+            assert main(argv + ["--output", out]) == 0
+            tables.append(np.array(read_csv(out)[2], dtype=float))
+        # normalizing the scaled vector may round its x component by one ulp
+        np.testing.assert_allclose(tables[1], tables[0], rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_zero_custom_vector_rejected(self, tmp_path, capsys, which):
+        text = f"pol_{which} = custom\npol_{which}_vector = 0, 0, 0, 0, 0, 0\nscan_points = 8\n"
+        assert main(["g2-scan", "--config", write_config(tmp_path, text)]) == 2
+        assert f"key 'pol_{which}_vector' must be a nonzero vector" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pol_1, dark", [("pi", "pol_2"), ("sigma", "pol_1")])
+    def test_dark_analyzer_g2_scan_rejected(self, tmp_path, capsys, pol_1, dark):
+        # the two-level dipole is along z, so a sigma analyzer sees no light
+        text = f"scheme = two-level\npol_1 = {pol_1}\npol_2 = sigma\nscan_points = 8\n"
+        assert main(["g2-scan", "--config", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{dark}'" in err and "two-level scheme" in err
+
     def test_config_error_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "nonsense_key = 1\n")
         assert main(["intensity-scan", "--config", path]) == 2
@@ -126,6 +153,14 @@ class TestIntensityScanCommand:
         assert len(rows) == 360
         assert abs(float(metadata["visibility"])) < 1e-12
         assert abs(float(metadata["visibility_closed_form"])) < 1e-15
+
+    def test_dark_analyzer_scans_zero(self, tmp_path):
+        cfg = write_config(tmp_path, "scheme = two-level\npol_1 = sigma\nscan_points = 8\n")
+        out = str(tmp_path / "scan.csv")
+        assert main(["intensity-scan", "--config", cfg, "--output", out]) == 0
+        metadata, _, rows = read_csv(out)
+        assert [float(cells[2]) for cells in rows] == [0.0] * 8
+        assert float(metadata["visibility"]) == 0.0
 
     def test_pi_visibility_third(self, tmp_path):
         cfg = write_config(tmp_path, "pol_1 = pi\n")
@@ -275,3 +310,78 @@ class TestValidateCommand:
         captured = capsys.readouterr().out
         assert code == 1
         assert "FAIL  trace_normalization" in captured
+
+
+# Stored outputs of the scan and steady-state commands at small non-standard
+# configs: separation 0.8 and a drive with a component along the atom axis, so
+# every phase of the kernel is nonzero.  Regenerate (only when an output change
+# is deliberate) with ``PYTHONPATH=src python tests/test_cli.py``.
+REFERENCE_PATH = Path(__file__).parent / "data" / "cli_reference.json"
+_REFERENCE_GEOMETRY = (
+    "g = 0.7\nseparation_wavelengths = 0.8\ndrive_direction = 0.3, 0.5, 0.2\nscan_points = 12\n"
+)
+REFERENCE_SCAN_CONFIGS = {
+    "four-level-xy": "scheme = four-level\nscan_plane = xy\npol_1 = pi\npol_2 = custom\n"
+    "pol_2_vector = 0.3, 0, 1, 0.2, 0, -0.5\n",
+    "four-level-xz": "scheme = four-level\nscan_plane = xz\npol_1 = sigma\npol_2 = custom\n"
+    "pol_2_vector = 1, 0, 0.5, 0.5, 0, 0\n",
+    "two-level-xy": "scheme = two-level\nscan_plane = xy\npol_1 = pi\npol_2 = pi\n",
+    "two-level-xy-custom": "scheme = two-level\nscan_plane = xy\npol_1 = custom\npol_2 = pi\n"
+    "pol_1_vector = 0.2, 0, 0, 0.3, 1, 0\n",
+}
+REFERENCE_STEADY_STATE = "n_traj = 5\nt_total = 20\n"
+
+
+def reference_outputs(tmp_dir):
+    """JSON payloads of every reference run, keyed 'command/config', without the path echo."""
+    runs = {
+        f"{command}/{name}": _REFERENCE_GEOMETRY + text
+        for name, text in REFERENCE_SCAN_CONFIGS.items()
+        for command in ("intensity-scan", "g2-scan")
+    }
+    runs["steady-state/default"] = REFERENCE_STEADY_STATE
+    outputs = {}
+    for key, text in runs.items():
+        command = key.split("/")[0]
+        cfg = Path(tmp_dir) / "reference.cfg"
+        cfg.write_text(text)
+        out = str(Path(tmp_dir) / "reference.json")
+        assert main([command, "--config", str(cfg), "--output", out, "--format", "json"]) == 0
+        payload = json.loads(Path(out).read_text(encoding="utf-8"))
+        del payload["metadata"]["path"]
+        outputs[key] = payload
+    return outputs
+
+
+def test_outputs_match_stored_reference(tmp_path):
+    expected = json.loads(REFERENCE_PATH.read_text(encoding="utf-8"))
+    actual = reference_outputs(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    for key, ref in expected.items():
+        got = actual[key]
+        assert sorted(got["metadata"]) == sorted(ref["metadata"]), key
+        for name, value in ref["metadata"].items():
+            if isinstance(value, str):
+                assert got["metadata"][name] == value, (key, name)
+            else:
+                tol = 1e-12 * max(1.0, abs(value))
+                assert abs(got["metadata"][name] - value) <= tol, (key, name)
+        assert sorted(got["columns"]) == sorted(ref["columns"]), key
+        for name, column in ref["columns"].items():
+            if isinstance(column[0], str):
+                assert got["columns"][name] == column, (key, name)
+                continue
+            column = np.asarray(column, dtype=float)
+            # numpy builds differ in the last bits: 1e-12 of the column's largest |value|
+            atol = 1e-12 * np.max(np.abs(column))
+            np.testing.assert_allclose(got["columns"][name], column, rtol=0, atol=atol, err_msg=key)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = reference_outputs(tmp)
+    REFERENCE_PATH.parent.mkdir(exist_ok=True)
+    REFERENCE_PATH.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {REFERENCE_PATH}")

@@ -33,7 +33,7 @@ from conftest import random_params, random_transverse_detector
 def g2_baseline(scheme, geometry, det_1, det_2, rho):
     """G1_A(1,1) G1_B(2,2) + G1_A(2,2) G1_B(1,1) through the field-operator route."""
     op_a1, op_b1, op_a2, op_b2 = (
-        field_operator(scheme, geometry, det, atom, require_transverse=False)
+        field_operator(scheme, geometry, det, atom)
         for det in (det_1, det_2)
         for atom in ("A", "B")
     )

@@ -21,6 +21,7 @@ from atompair import (
     two_level_steady_state_analytic,
 )
 from atompair.dynamics import check_density_matrix, drive_hamiltonian, unvectorize, vectorize
+from atompair.validation import _rejected_steady_state
 
 from conftest import random_params
 
@@ -113,9 +114,9 @@ class TestSteadyState:
     def test_discarded_variant_violates_trace(self):
         # the rejected closed-form candidate for rho22: trace -> 3 at g -> 0
         p = DriveDecayParams(g=1e-8, gamma0=0.5, gamma=0.5)
-        assert abs(steady_state_analytic(p, corrected=False).trace() - 3.0) < 1e-9
+        assert abs(_rejected_steady_state(p).trace() - 3.0) < 1e-9
         p1 = DriveDecayParams(g=1.0, gamma0=0.5, gamma=0.5)
-        assert abs(steady_state_analytic(p1, corrected=False).trace() - 5 / 3) < 1e-12
+        assert abs(_rejected_steady_state(p1).trace() - 5 / 3) < 1e-12
 
     def test_numeric_matches_analytic_random(self):
         rng = np.random.default_rng(7)

@@ -64,12 +64,6 @@ class TestFieldOperator:
         # (n - n_l).R_A = (x - y).(d/2 x) = d/2, phase exp(-i pi d)
         assert_allclose(op_x.phase, np.exp(-1j * math.pi * 0.5), atol=1e-14)
 
-    def test_rejects_non_transverse_by_default(self, scheme, geometry):
-        bad = Detector([1.0, 0.0, 0.0], sigma_polarization(Y_HAT))
-        with pytest.raises(ValueError, match="transverse"):
-            field_operator(scheme, geometry, bad, "A")
-        field_operator(scheme, geometry, bad, "A", require_transverse=False)
-
     def test_lowering_nilpotency(self, scheme, geometry):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -127,7 +121,7 @@ class TestG1:
         eps = sigma_polarization(Y_HAT)
         op_1 = field_operator(scheme, geometry, Detector(Y_HAT, eps), "A")
         det_2 = Detector(scan_direction("xy", 0.7), eps)
-        op_2 = field_operator(scheme, geometry, det_2, "A", require_transverse=False)
+        op_2 = field_operator(scheme, geometry, det_2, "A")
         val = g1(op_1, op_2, rho)
         assert_allclose(abs(val), g1(op_1, op_1, rho).real, atol=1e-14)
         assert abs(val.imag) > 1e-3  # geometric phase present

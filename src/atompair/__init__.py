@@ -32,7 +32,6 @@ from .correlations import (
     modulation_depth,
     g2_normalized,
     g2_normalized_closed_form,
-    nonclassicality_witness,
     witness_from_g2,
 )
 from .dynamics import (
@@ -64,6 +63,6 @@ from .farfield import (
     intensity_visibility,
     mean_field,
 )
-from .scans import G2Scan, IntensityScan, g2_scan, intensity_scan
+from .scans import G2Scan, IntensityScan, g2_exact_scan, g2_scan, intensity_scan
 
 __version__ = "0.1.0"

@@ -256,8 +256,17 @@ def transverse_projection(n, v) -> np.ndarray:
     return v - n * (n @ v)
 
 
+def _rescaled(v, dtype) -> np.ndarray:
+    """v as a 3-vector of dtype, times the power of two that brings its largest real or
+    imaginary part into [1/2, 1): its norm cannot under- or overflow, and the scaling is exact."""
+    parts = np.array(v, dtype=dtype).reshape(3).view(float)
+    _, exponent = np.frexp(np.max(np.abs(parts)))
+    return np.ldexp(parts, -exponent).view(dtype)
+
+
 def _keyword_polarization(n, vector, label: str) -> np.ndarray:
     """Normalized transverse projection of ``vector`` at n; null on the vector's own scale."""
+    vector = _rescaled(vector, complex)
     proj = transverse_projection(n, vector)
     norm = np.linalg.norm(proj)
     if norm <= 1e-8 * np.linalg.norm(vector):
@@ -283,6 +292,6 @@ def standard_geometry(separation_wavelengths: float, drive_direction=Y_HAT) -> G
     if separation_wavelengths <= 0:
         raise ValueError("separation must be > 0")
     d = float(separation_wavelengths)
-    n_l = np.asarray(drive_direction, dtype=float).reshape(3)
+    n_l = _rescaled(drive_direction, float)
     n_l = n_l / np.linalg.norm(n_l)
     return Geometry(r_a=+0.5 * d * X_HAT, r_b=-0.5 * d * X_HAT, n_l=n_l)

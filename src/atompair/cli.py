@@ -21,6 +21,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
+from .atom_model import Detector
 from .config import ConfigError, RunConfig, default_config, load_config
 from .dynamics import (
     DegenerateSteadyStateError,
@@ -31,8 +32,9 @@ from .dynamics import (
     steady_state_numeric,
     two_level_steady_state_analytic,
 )
+from .correlations import modulation_depth
 from .farfield import intensity_visibility, lowering_coefficients
-from .scans import g2_scan, intensity_scan, reference_direction, resolve_polarization
+from .scans import g2_exact_scan, g2_scan, intensity_scan, reference_direction, resolve_polarization
 from .validation import model_from_config, run_validation
 
 __all__ = ["main"]
@@ -53,15 +55,6 @@ def _config_echo(config: RunConfig) -> dict:
     return echo
 
 
-def _metadata_lines(metadata: dict) -> list[str]:
-    lines = []
-    for key, value in metadata.items():
-        if isinstance(value, float):
-            value = _format_float(value)
-        lines.append(f"# {key} = {value}")
-    return lines
-
-
 def _plain(value):
     """A table cell as str, int (flags and counts) or float."""
     if isinstance(value, str):
@@ -74,7 +67,9 @@ def _plain(value):
 def _write_csv(path: str, metadata: dict, columns: dict) -> None:
     names = list(columns)
     rows = len(next(iter(columns.values()))) if columns else 0
-    lines = _metadata_lines(metadata)
+    lines = [
+        f"# {k} = {_format_float(v) if isinstance(v, float) else v}" for k, v in metadata.items()
+    ]
     lines.append(",".join(names))
     for i in range(rows):
         cells = (_plain(columns[name][i]) for name in names)
@@ -120,10 +115,6 @@ def _scan_inputs(config: RunConfig):
     return scheme, params, geometry, eps_1, eps_2, rho
 
 
-def _entry_labels(dim: int) -> list[tuple[str, int, int]]:
-    return [(f"rho{i + 1}{j + 1}", i, j) for i in range(dim) for j in range(i, dim)]
-
-
 def cmd_steady_state(config: RunConfig) -> int:
     scheme, params, _ = model_from_config(config)
     liou = build_liouvillian(scheme, params)
@@ -136,7 +127,8 @@ def cmd_steady_state(config: RunConfig) -> int:
         scheme, params, config.n_traj, config.t_total / params.total, config.seed
     )
 
-    labels = _entry_labels(scheme.n_levels)
+    dim = scheme.n_levels
+    labels = [(f"rho{i + 1}{j + 1}", i, j) for i in range(dim) for j in range(i, dim)]
     width = max(len(label) for label, _, _ in labels)
     print(f"{'entry':<{width}}  {'analytic':>25}  {'numeric':>25}  {'monte_carlo':>25}  {'mc_stderr':>12}")
     for label, i, j in labels:
@@ -204,21 +196,22 @@ def cmd_g2_scan(config: RunConfig) -> int:
                 f"key 'pol_{which}' selects an analyzer that sees no light from the "
                 f"{config.scheme} scheme, so g2(1,2) and the witness are undefined"
             )
-    scan = g2_scan(
-        scheme, geometry, eps_1, eps_2, rho, plane=config.scan_plane, n_points=config.scan_points
-    )
+    grid = dict(plane=config.scan_plane, n_points=config.scan_points)
+    scan = g2_scan(scheme, geometry, eps_1, eps_2, rho, **grid)
+    exact = g2_exact_scan(scheme, geometry, eps_1, eps_2, rho, **grid)
+    n_ref = reference_direction(config.scan_plane)
     metadata = dict(_config_echo(config))
     metadata.update(
         coherence_damping_rate=params.total,
         modulation_depth=scan.modulation_depth,
-        modulation_closed_form=scan.modulation_closed_form,
-        max_factorized_vs_exact=float(np.max(np.abs(scan.g2_factorized - scan.g2_exact))),
+        modulation_closed_form=modulation_depth(Detector(n_ref, eps_1), Detector(n_ref, eps_2)),
+        max_factorized_vs_exact=float(np.max(np.abs(scan.g2_factorized - exact))),
     )
     columns = {
         "angle": scan.angles,
         "phase": scan.phases,
         "g2_factorized": scan.g2_factorized,
-        "g2_exact": scan.g2_exact,
+        "g2_exact": exact,
         "gamma2": scan.gamma2,
         "g2_normalized": scan.g2_normalized,
         "witness_lhs": scan.witness_lhs,

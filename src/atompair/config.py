@@ -145,7 +145,7 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("key 'seed' must be >= 0")
     if config.t_total <= 0:
         raise ConfigError("key 't_total' must be > 0")
-    if not np.linalg.norm(config.drive_direction) > 0:
+    if not np.any(config.drive_direction):
         raise ConfigError("key 'drive_direction' must be a nonzero vector")
     for which, kind in ((1, config.pol_1), (2, config.pol_2)):
         vector = config.polarization_vector(which)

@@ -55,7 +55,6 @@ __all__ = [
     "g2_normalized",
     "g2_normalized_closed_form",
     "witness_from_g2",
-    "nonclassicality_witness",
     "correlation_point",
 ]
 
@@ -199,19 +198,6 @@ def witness_from_g2(g2_11, g2_22, g2_12) -> WitnessResult:
     rhs = (g2_12 - 1.0) ** 2
     violated = np.less(lhs, rhs - _WITNESS_MARGIN)
     return WitnessResult(lhs=lhs, rhs=rhs, violated=violated if violated.ndim else bool(violated))
-
-
-def nonclassicality_witness(
-    scheme: LevelScheme,
-    geometry: Geometry,
-    params: DriveDecayParams,
-    det_1: Detector,
-    det_2: Detector,
-) -> WitnessResult:
-    """Evaluate the classicality inequality in steady state; violation certifies
-    nonclassical light."""
-    witness = _point(scheme, geometry, det_1, det_2, _steady_state(scheme, params))[3]
-    return WitnessResult(float(witness.lhs), float(witness.rhs), witness.violated)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,7 @@ the geometric phases move with the scan direction n:
     G2(1, 2) = 2 a11 a22 + 2 |a12|^2 cos phi12, phi12 = k (n1 - n2).(R_A - R_B),
 
 evaluated as numpy expressions over the whole phase array (see
-:mod:`atompair.correlations`).  The exact column of :func:`g2_scan` is the
-product-space oracle, evaluated independently at every scan point.
+:mod:`atompair.correlations`).
 
 Both scans take the single-atom state ``rho`` they scan (the pair is
 ``rho (x) rho``), stationary or not, and solve no steady state; closed forms
@@ -69,6 +68,7 @@ __all__ = [
     "intensity_scan",
     "G2Scan",
     "g2_scan",
+    "g2_exact_scan",
     "scan_depth",
 ]
 
@@ -101,6 +101,12 @@ def reference_direction(plane: str) -> np.ndarray:
     raise ValueError(f"scan plane must be one of {_PLANES}, got {plane!r}")
 
 
+def _scan_directions(plane: str, n_points: int):
+    """Scan angles, the fixed detector's direction and the moving detector's directions."""
+    angles = scan_angles(n_points)
+    return angles, reference_direction(plane), scan_direction(plane, angles)
+
+
 def resolve_polarization(kind: str, n_ref, vector=None) -> np.ndarray:
     """Analyzer vector for a keyword at the reference direction.
 
@@ -122,11 +128,8 @@ def resolve_polarization(kind: str, n_ref, vector=None) -> np.ndarray:
 
 def scan_depth(values: np.ndarray) -> float:
     """(max - min)/(max + min) of a sampled fringe; 0 for an all-zero scan."""
-    hi = float(np.max(values))
-    lo = float(np.min(values))
-    if hi + lo == 0.0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
+    hi, lo = float(np.max(values)), float(np.min(values))
+    return 0.0 if hi + lo == 0.0 else (hi - lo) / (hi + lo)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +150,9 @@ def intensity_scan(
     n_points: int = 360,
 ) -> IntensityScan:
     """Far-field intensity of two atoms in state rho over a full circle of directions."""
-    epsilon = np.asarray(polarization, dtype=complex).reshape(3)
     angles = scan_angles(n_points)
     phases = _fringe_phase(geometry, scan_direction(plane, angles))
-    a, m = _traces(scheme, rho, epsilon)
+    a, m = _traces(scheme, rho, polarization)
     values = _intensity(a[0, 0], m[0], phases)
     return IntensityScan(
         angles=angles,
@@ -165,14 +167,12 @@ class G2Scan:
     angles: np.ndarray
     phases: np.ndarray          # k (n1 - n2).(R_A - R_B)
     g2_factorized: np.ndarray
-    g2_exact: np.ndarray
     gamma2: np.ndarray
     g2_normalized: np.ndarray
     witness_lhs: np.ndarray
     witness_rhs: np.ndarray
     violated: np.ndarray
     modulation_depth: float     # (max - min)/(max + min) of the factorized column
-    modulation_closed_form: float  # |eps1^dag . eps2|^2
 
 
 def g2_scan(
@@ -187,32 +187,42 @@ def g2_scan(
 ) -> G2Scan:
     """Coincidences of two atoms in state rho: detector 1 fixed at the reference
     direction, detector 2 sweeping the scan plane, both analyzers held fixed."""
-    eps_1 = np.asarray(polarization_1, dtype=complex).reshape(3)
-    eps_2 = np.asarray(polarization_2, dtype=complex).reshape(3)
-    n_ref = reference_direction(plane)
-    det_1 = Detector(n_ref, eps_1)
-    rho_pair = np.kron(rho, rho)
-
-    angles = scan_angles(n_points)
-    n_2 = scan_direction(plane, angles)
+    angles, n_ref, n_2 = _scan_directions(plane, n_points)
     phases = _fringe_phase(geometry, n_ref, n_2)
     fact, gam2, norm, witness = _correlations(
-        *_traces(scheme, rho, eps_1, eps_2),
+        *_traces(scheme, rho, polarization_1, polarization_2),
         phases,
         _fringe_phase(geometry, n_ref),
         _fringe_phase(geometry, n_2),
     )
-    exact = np.array([g2_exact(scheme, geometry, det_1, Detector(n, eps_2), rho_pair) for n in n_2])
     return G2Scan(
         angles=angles,
         phases=phases,
         g2_factorized=fact,
-        g2_exact=exact,
         gamma2=gam2,
         g2_normalized=norm,
         witness_lhs=witness.lhs,
         witness_rhs=witness.rhs,
         violated=witness.violated,
         modulation_depth=scan_depth(fact),
-        modulation_closed_form=float(abs(np.vdot(eps_1, eps_2)) ** 2),
     )
+
+
+def g2_exact_scan(
+    scheme: LevelScheme,
+    geometry: Geometry,
+    polarization_1,
+    polarization_2,
+    rho: np.ndarray,
+    *,
+    plane: str = "xy",
+    n_points: int = 360,
+) -> np.ndarray:
+    """G2 of the pair state rho (x) rho from the product-space oracle, point by
+    point over the grid of :func:`g2_scan`: the independent route its
+    factorized column is compared against."""
+    _, n_ref, n_2 = _scan_directions(plane, n_points)
+    det_1 = Detector(n_ref, polarization_1)
+    rho_pair = np.kron(rho, rho)
+    exact = [g2_exact(scheme, geometry, det_1, Detector(n, polarization_2), rho_pair) for n in n_2]
+    return np.array(exact)

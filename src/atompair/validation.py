@@ -48,6 +48,7 @@ from .dynamics import (
 from .exact_oracle import conditioned_state, g2_exact, intensity_exact
 from .farfield import field_operator, intensity_visibility, mean_field
 from .scans import (
+    g2_exact_scan,
     g2_scan,
     intensity_scan,
     reference_direction,
@@ -398,9 +399,8 @@ def _superposition_group(geometry) -> Group:
     rho_e = pure_state([1.0, 0.0])
     intensities = intensity_scan(scheme, geometry, eps, rho_e).intensities
     flat = float(intensities.max() - intensities.min())
-    coincidences = g2_scan(scheme, geometry, eps, eps, rho_e)
-    depth = coincidences.modulation_depth
-    depth_exact = scan_depth(coincidences.g2_exact)
+    depth = g2_scan(scheme, geometry, eps, eps, rho_e).modulation_depth
+    depth_exact = scan_depth(g2_exact_scan(scheme, geometry, eps, eps, rho_e))
     group.add(
         "excited_pair_contrast",
         flat < 1e-12 and abs(depth - 1.0) < 1e-9 and abs(depth_exact - 1.0) < 1e-9,

@@ -99,16 +99,28 @@ class TestExitCodes:
         assert "key 'seed' must be >= 0" in capsys.readouterr().err
 
     def test_custom_vector_judged_on_its_own_scale(self, tmp_path):
-        # along x, so transverse to the +y reference direction at any scale
-        tables = []
-        for name, vector in (("unit", "1, 0, 0, 0, 0, 0"), ("scaled", "1e-9, 0, 0, 0, 0, 0")):
-            text = f"pol_1 = custom\npol_1_vector = {vector}\nscan_points = 12\n"
+        # along x, so transverse to the +y reference direction at any scale; the
+        # +-200-decade vectors have norms that under- or overflow unless rescaled
+        custom = "pol_1 = custom\npol_1_vector = {}, 0, 0, 0, 0, 0\n".format
+        cases = {
+            "unit": custom(1),
+            "scaled": custom(1e-9),
+            "tiny": custom(1e-200),
+            "huge": custom(1e200),
+            "tiny_drive": custom(1) + "drive_direction = 0, 1e-200, 0\n",
+            "huge_drive": custom(1) + "drive_direction = 0, 1e200, 0\n",
+        }
+        tables = {}
+        for name, text in cases.items():
             out = str(tmp_path / f"{name}.csv")
-            argv = ["g2-scan", "--config", write_config(tmp_path, text, name=f"{name}.cfg")]
-            assert main(argv + ["--output", out]) == 0
-            tables.append(np.array(read_csv(out)[2], dtype=float))
-        # normalizing the scaled vector may round its x component by one ulp
-        np.testing.assert_allclose(tables[1], tables[0], rtol=1e-14, atol=1e-15)
+            path = write_config(tmp_path, text + "scan_points = 12\n", name=f"{name}.cfg")
+            assert main(["g2-scan", "--config", path, "--output", out]) == 0, name
+            tables[name] = np.array(read_csv(out)[2], dtype=float)
+        # normalizing a scaled vector may round its x component by one ulp
+        for name in cases:
+            np.testing.assert_allclose(
+                tables[name], tables["unit"], rtol=1e-14, atol=1e-15, err_msg=name
+            )
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_zero_custom_vector_rejected(self, tmp_path, capsys, which):

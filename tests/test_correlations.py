@@ -18,7 +18,6 @@ from atompair import (
     hg_level_scheme,
     intensity,
     modulation_depth,
-    nonclassicality_witness,
     standard_geometry,
     steady_state_analytic,
     steady_state_numeric,
@@ -243,25 +242,25 @@ class TestG2Normalized:
 
 
 class TestWitness:
-    def test_sigma_fringe_minimum_violated(self, scheme, geometry, params):
+    def test_sigma_fringe_minimum_violated(self, scheme, geometry, params, rho):
         eps = sigma_polarization(Y_HAT)
         det_1 = Detector(Y_HAT, eps)
         det_2 = Detector(scan_direction("xy", 0.0), eps)  # phase -pi
-        res = nonclassicality_witness(scheme, geometry, params, det_1, det_2)
-        assert abs(res.lhs) < 1e-12
-        assert_allclose(res.rhs, 1.0, atol=1e-12)
+        res = correlation_point(scheme, geometry, params, det_1, det_2, rho=rho)
+        assert abs(res.witness_lhs) < 1e-12
+        assert_allclose(res.witness_rhs, 1.0, atol=1e-12)
         assert res.violated
 
-    def test_orthogonal_sigma_detection(self, scheme, geometry, params):
+    def test_orthogonal_sigma_detection(self, scheme, geometry, params, rho):
         # sigma analyzers at perpendicular directions project to orthogonal
         # vectors; both are z-dark, so g2(1,2) = 1/2: lhs 0, rhs 1/4, violated
         x_hat = np.array([1.0, 0.0, 0.0])
         det_1 = Detector(Y_HAT, sigma_polarization(Y_HAT))
         det_2 = Detector(x_hat, sigma_polarization(x_hat))
         assert modulation_depth(det_1, det_2) < 1e-15
-        res = nonclassicality_witness(scheme, geometry, params, det_1, det_2)
-        assert abs(res.lhs) < 1e-12
-        assert_allclose(res.rhs, 0.25, atol=1e-12)
+        res = correlation_point(scheme, geometry, params, det_1, det_2, rho=rho)
+        assert abs(res.witness_lhs) < 1e-12
+        assert_allclose(res.witness_rhs, 0.25, atol=1e-12)
         assert res.violated
 
     def test_classical_baseline_not_flagged(self):
@@ -269,7 +268,7 @@ class TestWitness:
         assert res.lhs == res.rhs == 0.0
         assert not res.violated
 
-    def test_physical_transverse_geometry_violation(self, params, scheme):
+    def test_physical_transverse_geometry_violation(self, params, scheme, rho):
         # fully transverse variant: circular analyzers along +-z with the
         # atoms on the z axis at d = 1/4, detector-pair phase 2 k d = pi
         geom = Geometry(
@@ -282,9 +281,9 @@ class TestWitness:
         det_2 = Detector(np.array([0.0, 0.0, -1.0]), eps)
         assert det_1.transversality_defect() < 1e-15
         assert det_2.transversality_defect() < 1e-15
-        res = nonclassicality_witness(scheme, geom, params, det_1, det_2)
-        assert abs(res.lhs) < 1e-12
-        assert_allclose(res.rhs, 1.0, atol=1e-12)
+        res = correlation_point(scheme, geom, params, det_1, det_2, rho=rho)
+        assert abs(res.witness_lhs) < 1e-12
+        assert_allclose(res.witness_rhs, 1.0, atol=1e-12)
         assert res.violated
 
 

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,14 @@ from atompair import (
     steady_state_numeric,
     two_level_scheme,
 )
-from atompair.scans import g2_scan, intensity_scan, reference_direction, scan_direction
+from atompair import exact_oracle
+from atompair.scans import (
+    g2_exact_scan,
+    g2_scan,
+    intensity_scan,
+    reference_direction,
+    scan_direction,
+)
 
 PARAMS = DriveDecayParams(g=0.7, gamma0=0.3, gamma=0.5)
 # separation 0.8 and a drive with a component along the atom axis (x), so the
@@ -60,7 +68,8 @@ def test_scan_kernel_matches_operator_route(scheme_name, plane):
         np.testing.assert_allclose(scan.intensities, per_angle, rtol=1e-14, atol=0)
 
         g2 = g2_scan(scheme, GEOMETRY, eps_1, eps_2, rho, plane=plane, n_points=37)
-        assert np.max(np.abs(g2.g2_factorized - g2.g2_exact)) < 1e-12
+        exact = g2_exact_scan(scheme, GEOMETRY, eps_1, eps_2, rho, plane=plane, n_points=37)
+        assert np.max(np.abs(g2.g2_factorized - exact)) < 1e-12
         # the closed form describes the steady state only
         if scheme_name == "four-level" and rho is steady:
             det_1 = Detector(reference_direction(plane), eps_1)
@@ -73,3 +82,27 @@ def test_scan_kernel_matches_operator_route(scheme_name, plane):
                 ]
             )
             assert np.max(np.abs(g2.g2_normalized - closed)) < 1e-10
+
+
+def test_g2_scan_never_reaches_the_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("g2_scan called the product-space oracle")
+
+    oracle = exact_oracle.g2_exact
+    aliases = [
+        (module, name)
+        for module_name, module in list(sys.modules.items())
+        if module_name == "atompair" or module_name.startswith("atompair.")
+        for name, value in vars(module).items()
+        if value is oracle
+    ]
+    assert (exact_oracle, "g2_exact") in aliases
+    for module, name in aliases:
+        monkeypatch.setattr(module, name, refuse)
+    scheme = SCHEMES["four-level"]
+    rho = steady_state_numeric(build_liouvillian(scheme, PARAMS))
+    eps_1, eps_2 = ANALYZER_PAIRS[1]
+    scan = g2_scan(scheme, GEOMETRY, eps_1, eps_2, rho, n_points=36)
+    assert scan.g2_factorized.shape == (36,)
+    with pytest.raises(AssertionError, match="oracle"):
+        g2_exact_scan(scheme, GEOMETRY, eps_1, eps_2, rho, n_points=36)

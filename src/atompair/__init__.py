@@ -38,8 +38,6 @@ from .dynamics import (
     DegenerateSteadyStateError,
     QuantumJumpResult,
     build_liouvillian,
-    check_density_matrix,
-    evolve,
     liouvillian_residual,
     pure_state,
     quantum_jump_estimate,
@@ -53,7 +51,6 @@ from .exact_oracle import (
     g2_exact,
     intensity_exact,
     pair_field_matrix,
-    product_liouvillian,
 )
 from .farfield import (
     FieldOperator,

@@ -34,7 +34,6 @@ __all__ = [
     "hg_level_scheme",
     "two_level_scheme",
     "transverse_basis",
-    "transverse_projection",
     "pi_polarization",
     "sigma_polarization",
     "make_detector",
@@ -78,7 +77,7 @@ class Transition:
 
     def __post_init__(self):
         object.__setattr__(self, "dipole", _as_cvec(self.dipole))
-        if self.decay_rate < 0:
+        if not self.decay_rate >= 0:
             raise ValueError(f"decay rate must be >= 0, got {self.decay_rate}")
 
 
@@ -120,11 +119,11 @@ class DriveDecayParams:
     gamma: float
 
     def __post_init__(self):
-        if self.g < 0:
+        if not self.g >= 0:
             raise ValueError(f"g must be >= 0, got {self.g}")
-        if self.gamma0 < 0 or self.gamma < 0:
+        if not (self.gamma0 >= 0 and self.gamma >= 0):
             raise ValueError("decay half-rates must be >= 0")
-        if self.gamma0 + self.gamma <= 0:
+        if not self.gamma0 + self.gamma > 0:
             raise ValueError("gamma0 + gamma must be > 0 (no relaxation otherwise)")
 
     @property
@@ -145,7 +144,7 @@ class Geometry:
         object.__setattr__(self, "r_a", _as_rvec(self.r_a))
         object.__setattr__(self, "r_b", _as_rvec(self.r_b))
         object.__setattr__(self, "n_l", _as_rvec(self.n_l))
-        if abs(np.linalg.norm(self.n_l) - 1.0) > _UNIT_TOL:
+        if not abs(np.linalg.norm(self.n_l) - 1.0) <= _UNIT_TOL:
             raise ValueError("drive direction n_l must be a unit vector")
 
     @property
@@ -171,9 +170,9 @@ class Detector:
     def __post_init__(self):
         object.__setattr__(self, "n", _as_rvec(self.n))
         object.__setattr__(self, "epsilon", _as_cvec(self.epsilon))
-        if abs(np.linalg.norm(self.n) - 1.0) > _UNIT_TOL:
+        if not abs(np.linalg.norm(self.n) - 1.0) <= _UNIT_TOL:
             raise ValueError("observation direction n must be a unit vector")
-        if abs(np.vdot(self.epsilon, self.epsilon).real - 1.0) > _UNIT_TOL:
+        if not abs(np.vdot(self.epsilon, self.epsilon).real - 1.0) <= _UNIT_TOL:
             raise ValueError("polarization eps must satisfy eps^dag . eps = 1")
 
     def transversality_defect(self) -> float:
@@ -218,7 +217,7 @@ def hg_level_scheme(params: DriveDecayParams) -> LevelScheme:
 
 def two_level_scheme(gamma: float) -> LevelScheme:
     """Driven two-level atom: level 0 excited, level 1 ground, dipole z, rate 2*gamma."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     return LevelScheme(
         n_levels=2,
@@ -237,7 +236,7 @@ def transverse_basis(n) -> tuple[np.ndarray, np.ndarray]:
     and the convention is e1 = x, e2 = n x e1.
     """
     n = np.asarray(n, dtype=float).reshape(3)
-    if abs(np.linalg.norm(n) - 1.0) > _UNIT_TOL:
+    if not abs(np.linalg.norm(n) - 1.0) <= _UNIT_TOL:
         raise ValueError("n must be a unit vector")
     e1 = Z_HAT - n[2] * n
     norm = np.linalg.norm(e1)
@@ -249,25 +248,19 @@ def transverse_basis(n) -> tuple[np.ndarray, np.ndarray]:
     return e1.astype(complex), e2.astype(complex)
 
 
-def transverse_projection(n, v) -> np.ndarray:
-    """Component of v transverse to the direction n (not normalized)."""
-    n = np.asarray(n, dtype=float).reshape(3)
-    v = np.asarray(v, dtype=complex).reshape(3)
-    return v - n * (n @ v)
-
-
 def _rescaled(v, dtype) -> np.ndarray:
-    """v as a 3-vector of dtype, times the power of two that brings its largest real or
+    """v as a 1-D array of dtype, times the power of two that brings its largest real or
     imaginary part into [1/2, 1): its norm cannot under- or overflow, and the scaling is exact."""
-    parts = np.array(v, dtype=dtype).reshape(3).view(float)
+    parts = np.array(v, dtype=dtype).ravel().view(float)
     _, exponent = np.frexp(np.max(np.abs(parts)))
     return np.ldexp(parts, -exponent).view(dtype)
 
 
 def _keyword_polarization(n, vector, label: str) -> np.ndarray:
     """Normalized transverse projection of ``vector`` at n; null on the vector's own scale."""
+    n = np.asarray(n, dtype=float).reshape(3)
     vector = _rescaled(vector, complex)
-    proj = transverse_projection(n, vector)
+    proj = vector - n * (n @ vector)
     norm = np.linalg.norm(proj)
     if norm <= 1e-8 * np.linalg.norm(vector):
         raise ValueError(
@@ -289,7 +282,7 @@ def sigma_polarization(n) -> np.ndarray:
 
 def standard_geometry(separation_wavelengths: float, drive_direction=Y_HAT) -> Geometry:
     """Atoms at +-d/2 on the x axis, drive along ``drive_direction`` (default +y)."""
-    if separation_wavelengths <= 0:
+    if not separation_wavelengths > 0:
         raise ValueError("separation must be > 0")
     d = float(separation_wavelengths)
     n_l = _rescaled(drive_direction, float)

@@ -22,7 +22,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .atom_model import Detector
-from .config import ConfigError, RunConfig, default_config, load_config
+from .config import ConfigError, RunConfig, load_config
 from .dynamics import (
     DegenerateSteadyStateError,
     build_liouvillian,
@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else default_config()
+        config = load_config(args.config) if args.config else RunConfig()
         overrides = {}
         if args.output is not None:
             overrides["path"] = args.output

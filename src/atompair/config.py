@@ -9,11 +9,11 @@ and key; every ``RunConfig`` is checked when built, ``replace`` overrides too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ConfigError", "RunConfig", "default_config", "parse_config_text", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config"]
 
 
 class ConfigError(Exception):
@@ -55,10 +55,6 @@ class RunConfig:
             return None
         arr = np.asarray(raw, dtype=float)
         return arr[0::2] + 1j * arr[1::2]
-
-
-def default_config() -> RunConfig:
-    return RunConfig()
 
 
 _FLOAT_KEYS = {"g", "gamma0", "gamma", "separation_wavelengths", "t_total"}
@@ -121,7 +117,7 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: key '{key}' must be one of {_CHOICES[key]}, got {values[key]!r}"
             )
-    return replace(default_config(), **values)
+    return RunConfig(**values)
 
 
 def _validate(config: RunConfig) -> None:

@@ -1,4 +1,4 @@
-"""Single-atom master equation: construction, integration, steady states.
+"""Single-atom master equation: construction, steady states, quantum-jump estimate.
 
 The density-matrix equation of the driven J=1/2 -> J=1/2 scheme at resonance
 is, writing Gamma = gamma0 + gamma and labelling the levels 1..4 as in
@@ -40,20 +40,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom_model import DriveDecayParams, LevelScheme, Z_HAT
+from .atom_model import DriveDecayParams, LevelScheme, Z_HAT, _rescaled
 
 __all__ = [
     "DegenerateSteadyStateError",
     "vectorize",
     "unvectorize",
     "pure_state",
-    "check_density_matrix",
     "drive_hamiltonian",
     "jump_operators",
     "liouvillian_matrix",
     "build_liouvillian",
     "liouvillian_residual",
-    "evolve",
     "steady_state_numeric",
     "steady_state_analytic",
     "two_level_steady_state_analytic",
@@ -78,42 +76,12 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
 
 def pure_state(amplitudes) -> np.ndarray:
     """Density matrix |psi><psi| of a (normalized) amplitude vector."""
-    psi = np.asarray(amplitudes, dtype=complex).ravel()
+    psi = _rescaled(amplitudes, complex)
     norm = np.linalg.norm(psi)
     if norm == 0:
         raise ValueError("zero state vector")
     psi = psi / norm
     return np.outer(psi, psi.conj())
-
-
-def check_density_matrix(
-    rho,
-    dim: int | None = None,
-    *,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    eig_floor: float = 1e-9,
-) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity (up to tolerances).
-
-    Returns the input as a complex ndarray; raises ValueError naming the
-    violated property otherwise.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise ValueError(f"expected dimension {dim}, got {rho.shape[0]}")
-    herm_defect = np.max(np.abs(rho - rho.conj().T))
-    if herm_defect > herm_tol:
-        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_defect:.3e}")
-    trace_defect = abs(rho.trace() - 1.0)
-    if trace_defect > trace_tol:
-        raise ValueError(f"trace differs from 1 by {trace_defect:.3e}")
-    min_eig = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if min_eig < -eig_floor:
-        raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
-    return rho
 
 
 def drive_hamiltonian(scheme: LevelScheme, params: DriveDecayParams) -> np.ndarray:
@@ -174,39 +142,6 @@ def build_liouvillian(scheme: LevelScheme, params: DriveDecayParams) -> np.ndarr
 def liouvillian_residual(liouvillian: np.ndarray, rho: np.ndarray) -> float:
     """Euclidean norm of L vec(rho); zero iff rho is stationary."""
     return float(np.linalg.norm(liouvillian @ vectorize(rho)))
-
-
-def evolve(liouvillian: np.ndarray, rho0, t_final: float, dt: float) -> np.ndarray:
-    """Propagate rho0 to t_final with fixed-step classical RK4.
-
-    The generator is linear and time independent, so the usual four stages
-    are computed from precomputed powers-free matrix-vector products.  A
-    short final step covers any remainder of t_final that is not an integer
-    multiple of dt.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if t_final < 0:
-        raise ValueError("t_final must be >= 0")
-    liou = np.asarray(liouvillian, dtype=complex)
-    dim = int(round(math.sqrt(liou.shape[0])))
-    rho0 = check_density_matrix(rho0, dim, herm_tol=1e-8, trace_tol=1e-8, eig_floor=1e-7)
-    vec = vectorize(rho0)
-
-    def rk4_step(v, h):
-        k1 = liou @ v
-        k2 = liou @ (v + 0.5 * h * k1)
-        k3 = liou @ (v + 0.5 * h * k2)
-        k4 = liou @ (v + h * k3)
-        return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    n_full = int(t_final / dt)
-    remainder = t_final - n_full * dt
-    for _ in range(n_full):
-        vec = rk4_step(vec, dt)
-    if remainder > 1e-15 * max(t_final, 1.0):
-        vec = rk4_step(vec, remainder)
-    return unvectorize(vec, dim)
 
 
 def steady_state_numeric(liouvillian: np.ndarray) -> np.ndarray:

@@ -19,33 +19,16 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .atom_model import Detector, DriveDecayParams, Geometry, LevelScheme
-from .dynamics import drive_hamiltonian, jump_operators, liouvillian_matrix
+from .atom_model import Detector, Geometry, LevelScheme
 from .farfield import geometric_phase, lowering_coefficients
 
 __all__ = [
-    "product_liouvillian",
     "pair_field_matrix",
     "intensity_exact",
     "g2_exact",
     "ConditionedState",
     "conditioned_state",
 ]
-
-
-def product_liouvillian(scheme: LevelScheme, params: DriveDecayParams) -> np.ndarray:
-    """Generator of two independent, non-interacting copies of the scheme.
-
-    Built from H_AB = H x 1 + 1 x H and the per-atom jump operators lifted
-    to the pair space; equal to L_A (x) id + id (x) L_B in the vectorized
-    representation.  No cross-atom coupling of any kind.
-    """
-    h = drive_hamiltonian(scheme, params)
-    eye = np.eye(scheme.n_levels)
-    h_pair = np.kron(h, eye) + np.kron(eye, h)
-    jumps = [np.kron(op, eye) for op in jump_operators(scheme)]
-    jumps += [np.kron(eye, op) for op in jump_operators(scheme)]
-    return liouvillian_matrix(h_pair, jumps)
 
 
 def pair_field_matrix(scheme: LevelScheme, geometry: Geometry, detector: Detector) -> np.ndarray:

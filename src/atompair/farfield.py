@@ -27,6 +27,7 @@ from .atom_model import (
     LevelScheme,
     WAVENUMBER,
     Z_HAT,
+    _rescaled,
 )
 
 __all__ = [
@@ -139,7 +140,7 @@ def intensity_visibility(params: DriveDecayParams, epsilon) -> float:
     """
     if params.g <= 0:
         raise ValueError("visibility closed form requires g > 0")
-    epsilon = np.asarray(epsilon, dtype=complex).reshape(3)
+    epsilon = _rescaled(epsilon, complex)
     norm2 = np.vdot(epsilon, epsilon).real
     if norm2 <= 0:
         raise ValueError("polarization vector must be nonzero")

@@ -32,8 +32,8 @@ from .atom_model import (
 )
 from .config import RunConfig
 from .correlations import (
+    correlation_point,
     g2_factorized,
-    g2_normalized,
     g2_normalized_closed_form,
     witness_from_g2,
 )
@@ -319,7 +319,7 @@ def _normalized_group(geometry) -> Group:
         f"max |g2(1,2) - (1 + cos phi)/2| = {worst:.3e} across the sigma scan (tol 1e-10)",
     )
     det = Detector(n_ref, eps_sigma)
-    auto = g2_normalized(scheme, geometry, params, det, det)
+    auto = correlation_point(scheme, geometry, params, det, det, rho=rho).g2_normalized
     group.add(
         "sigma_autocorrelation_is_one",
         abs(auto - 1.0) < 1e-10,

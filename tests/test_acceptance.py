@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from atompair import standard_geometry
+from atompair import dynamics, standard_geometry
 from atompair.config import RunConfig
 from atompair.validation import (
     _g2_modulation_group,
@@ -24,6 +24,8 @@ from atompair.validation import (
     _visibility_group,
     _witness_group,
 )
+
+from conftest import patch_aliases
 
 GEOMETRY = standard_geometry(0.5)
 
@@ -76,6 +78,20 @@ def test_criterion_06_oracle_equivalence():
 
 def test_criterion_07_normalized_correlation():
     accept(7, _normalized_group(GEOMETRY))
+
+
+def test_normalized_group_solves_once(monkeypatch):
+    # g2(1,1) comes from the state the group already solved, not from a second solve
+    solve = dynamics.steady_state_numeric
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    patch_aliases(monkeypatch, solve, counted)
+    assert _normalized_group(GEOMETRY).passed
+    assert len(calls) == 1
 
 
 def test_criterion_08_nonclassicality_witness():

@@ -7,9 +7,11 @@ from numpy.testing import assert_allclose
 from atompair import (
     Detector,
     DriveDecayParams,
+    Transition,
     make_detector,
     pi_polarization,
     sigma_polarization,
+    standard_geometry,
     transverse_basis,
     two_level_scheme,
 )
@@ -167,3 +169,39 @@ class TestDetector:
         # scans hold the reference analyzer fixed while the direction moves
         det = Detector(X_HAT, sigma_polarization(Y_HAT))
         assert det.transversality_defect() > 0.9
+
+
+NAN = float("nan")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: standard_geometry(0.5, (0.0, 0.0, 0.0)), "n_l must be a unit vector"),
+        (lambda: standard_geometry(NAN), "separation must be > 0"),
+        (lambda: Detector([NAN, 0.0, 0.0], Z_HAT), "n must be a unit vector"),
+        (lambda: Detector(Y_HAT, [NAN, 0.0, 0.0]), "eps must satisfy"),
+        (lambda: transverse_basis([NAN, 0.0, 0.0]), "n must be a unit vector"),
+        (lambda: DriveDecayParams(g=NAN, gamma0=0.5, gamma=0.5), "g must be >= 0"),
+        (lambda: DriveDecayParams(g=1.0, gamma0=NAN, gamma=0.5), "half-rates must be >= 0"),
+        (lambda: DriveDecayParams(g=1.0, gamma0=0.5, gamma=NAN), "half-rates must be >= 0"),
+        (lambda: two_level_scheme(NAN), "gamma must be > 0"),
+        (lambda: Transition(upper=0, lower=1, dipole=Z_HAT, decay_rate=NAN), "decay rate"),
+    ],
+    ids=[
+        "zero_drive_direction",
+        "nan_separation",
+        "nan_direction",
+        "nan_analyzer",
+        "nan_basis_direction",
+        "nan_g",
+        "nan_gamma0",
+        "nan_gamma",
+        "nan_two_level_gamma",
+        "nan_decay_rate",
+    ],
+)
+def test_validators_reject_nan(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

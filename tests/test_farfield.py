@@ -242,6 +242,13 @@ class TestVisibilityClosedForm:
         assert_allclose(scan.visibility, intensity_visibility(params, eps), atol=1e-12)
         assert_allclose(scan.visibility, 1.0 / 6.0, atol=1e-12)
 
+    def test_any_scale(self, params):
+        unit = intensity_visibility(params, Z_HAT)
+        for scale in (1e200, 1e-200):
+            assert intensity_visibility(params, scale * Z_HAT) == unit
+        with pytest.raises(ValueError, match="nonzero"):
+            intensity_visibility(params, [0.0, 0.0, 0.0])
+
     def test_rejects_undriven(self):
         with pytest.raises(ValueError):
             intensity_visibility(DriveDecayParams(g=0.0, gamma0=0.5, gamma=0.5), Z_HAT)

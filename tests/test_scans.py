@@ -1,5 +1,4 @@
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from atompair.scans import (
     reference_direction,
     scan_direction,
 )
+
+from conftest import patch_aliases
 
 PARAMS = DriveDecayParams(g=0.7, gamma0=0.3, gamma=0.5)
 # separation 0.8 and a drive with a component along the atom axis (x), so the
@@ -88,17 +89,8 @@ def test_g2_scan_never_reaches_the_oracle(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("g2_scan called the product-space oracle")
 
-    oracle = exact_oracle.g2_exact
-    aliases = [
-        (module, name)
-        for module_name, module in list(sys.modules.items())
-        if module_name == "atompair" or module_name.startswith("atompair.")
-        for name, value in vars(module).items()
-        if value is oracle
-    ]
+    aliases = patch_aliases(monkeypatch, exact_oracle.g2_exact, refuse)
     assert (exact_oracle, "g2_exact") in aliases
-    for module, name in aliases:
-        monkeypatch.setattr(module, name, refuse)
     scheme = SCHEMES["four-level"]
     rho = steady_state_numeric(build_liouvillian(scheme, PARAMS))
     eps_1, eps_2 = ANALYZER_PAIRS[1]

@@ -77,8 +77,8 @@ class Transition:
 
     def __post_init__(self):
         object.__setattr__(self, "dipole", _as_cvec(self.dipole))
-        if not self.decay_rate >= 0:
-            raise ValueError(f"decay rate must be >= 0, got {self.decay_rate}")
+        if not 0 <= self.decay_rate < math.inf:
+            raise ValueError(f"decay rate must be >= 0 and finite, got {self.decay_rate}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +119,10 @@ class DriveDecayParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.g >= 0:
-            raise ValueError(f"g must be >= 0, got {self.g}")
-        if not (self.gamma0 >= 0 and self.gamma >= 0):
-            raise ValueError("decay half-rates must be >= 0")
+        if not 0 <= self.g < math.inf:
+            raise ValueError(f"g must be >= 0 and finite, got {self.g}")
+        if not (0 <= self.gamma0 < math.inf and 0 <= self.gamma < math.inf):
+            raise ValueError("decay half-rates must be >= 0 and finite")
         if not self.gamma0 + self.gamma > 0:
             raise ValueError("gamma0 + gamma must be > 0 (no relaxation otherwise)")
 
@@ -144,6 +144,8 @@ class Geometry:
         object.__setattr__(self, "r_a", _as_rvec(self.r_a))
         object.__setattr__(self, "r_b", _as_rvec(self.r_b))
         object.__setattr__(self, "n_l", _as_rvec(self.n_l))
+        if not (np.all(np.isfinite(self.r_a)) and np.all(np.isfinite(self.r_b))):
+            raise ValueError("atom positions must be finite")
         if not abs(np.linalg.norm(self.n_l) - 1.0) <= _UNIT_TOL:
             raise ValueError("drive direction n_l must be a unit vector")
 
@@ -250,8 +252,11 @@ def transverse_basis(n) -> tuple[np.ndarray, np.ndarray]:
 
 def _rescaled(v, dtype) -> np.ndarray:
     """v as a 1-D array of dtype, times the power of two that brings its largest real or
-    imaginary part into [1/2, 1): its norm cannot under- or overflow, and the scaling is exact."""
+    imaginary part into [1/2, 1): its norm cannot under- or overflow, and the scaling is exact.
+    Raises ValueError for a non-finite entry."""
     parts = np.array(v, dtype=dtype).ravel().view(float)
+    if not np.all(np.isfinite(parts)):
+        raise ValueError(f"vector entries must be finite, got {np.asarray(v)}")
     _, exponent = np.frexp(np.max(np.abs(parts)))
     return np.ldexp(parts, -exponent).view(dtype)
 
@@ -282,9 +287,12 @@ def sigma_polarization(n) -> np.ndarray:
 
 def standard_geometry(separation_wavelengths: float, drive_direction=Y_HAT) -> Geometry:
     """Atoms at +-d/2 on the x axis, drive along ``drive_direction`` (default +y)."""
-    if not separation_wavelengths > 0:
-        raise ValueError("separation must be > 0")
+    if not 0 < separation_wavelengths < math.inf:
+        raise ValueError("separation must be > 0 and finite")
     d = float(separation_wavelengths)
     n_l = _rescaled(drive_direction, float)
-    n_l = n_l / np.linalg.norm(n_l)
+    norm = np.linalg.norm(n_l)
+    if norm == 0:
+        raise ValueError("drive direction n_l must be a unit vector, got the zero vector")
+    n_l = n_l / norm
     return Geometry(r_a=+0.5 * d * X_HAT, r_b=-0.5 * d * X_HAT, n_l=n_l)

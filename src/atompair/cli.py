@@ -55,24 +55,20 @@ def _config_echo(config: RunConfig) -> dict:
     return echo
 
 
-def _plain(value):
-    """A table cell as str, int (flags and counts) or float."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return int(value)
-    return float(value)
+def _plain_column(values) -> list:
+    """A table column as a list of str, int (flags) or float, converted in one call."""
+    if isinstance(values, list) and all(isinstance(v, str) for v in values):
+        return values
+    values = np.asarray(values)
+    return (values.astype(int) if values.dtype == bool else values).tolist()
 
 
 def _write_csv(path: str, metadata: dict, columns: dict) -> None:
-    names = list(columns)
-    rows = len(next(iter(columns.values()))) if columns else 0
     lines = [
         f"# {k} = {_format_float(v) if isinstance(v, float) else v}" for k, v in metadata.items()
     ]
-    lines.append(",".join(names))
-    for i in range(rows):
-        cells = (_plain(columns[name][i]) for name in names)
+    lines.append(",".join(columns))
+    for cells in zip(*(_plain_column(values) for values in columns.values())):
         lines.append(",".join(_format_float(c) if isinstance(c, float) else str(c) for c in cells))
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -80,7 +76,7 @@ def _write_csv(path: str, metadata: dict, columns: dict) -> None:
 def _write_json(path: str, metadata: dict, columns: dict) -> None:
     payload = {
         "metadata": metadata,
-        "columns": {name: [_plain(v) for v in values] for name, values in columns.items()},
+        "columns": {name: _plain_column(values) for name, values in columns.items()},
     }
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

@@ -8,7 +8,9 @@ the pair field operator is
 
 with c the single-atom lowering-coefficient matrix of the detector, and
 observables are plain operator traces against an arbitrary 16x16 (or 4x4
-for two-level atoms) pair density matrix.  Agreement with the factorized
+for two-level atoms) pair density matrix.  Coincidence rates are built for a
+stack of second-detector directions at once, a fixed block of directions at
+a time; one detector pair is the stack of one.  Agreement with the factorized
 formulas on product states is the central consistency theorem of the
 package; on entangled states the factorized formulas are wrong by design
 and the values computed here are the truth.
@@ -20,7 +22,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .atom_model import Detector, Geometry, LevelScheme
-from .farfield import geometric_phase, lowering_coefficients
+from .farfield import _geometric_phases, lowering_coefficients
 
 __all__ = [
     "pair_field_matrix",
@@ -31,13 +33,29 @@ __all__ = [
 ]
 
 
+#: second-detector directions per stacked coincidence evaluation; bounds the
+#: temporaries of a scan to a few (BLOCK, d^2, d^2) arrays whatever its length
+_BLOCK = 16
+
+
+def _pair_field_matrices(
+    scheme: LevelScheme, geometry: Geometry, directions: np.ndarray, epsilon
+) -> np.ndarray:
+    """E^(+)(n) = phase_A(n) kron(c, 1) + phase_B(n) kron(1, c) of one analyzer at every
+    row n of ``directions`` (shape (N, 3)); returns shape (N, d^2, d^2)."""
+    coeff = lowering_coefficients(scheme, epsilon)
+    d = scheme.n_levels
+    eye = np.eye(d)
+    kron_a = (coeff[:, None, :, None] * eye[None, :, None, :]).reshape(d * d, d * d)
+    kron_b = (eye[:, None, :, None] * coeff[None, :, None, :]).reshape(d * d, d * d)
+    phase_a = _geometric_phases(geometry, directions, geometry.r_a)[:, None, None]
+    phase_b = _geometric_phases(geometry, directions, geometry.r_b)[:, None, None]
+    return phase_a * kron_a + phase_b * kron_b
+
+
 def pair_field_matrix(scheme: LevelScheme, geometry: Geometry, detector: Detector) -> np.ndarray:
     """Positive-frequency pair field operator E^(+) for one detector."""
-    coeff = lowering_coefficients(scheme, detector.epsilon)
-    eye = np.eye(scheme.n_levels)
-    return geometric_phase(geometry, detector, "A") * np.kron(coeff, eye) + geometric_phase(
-        geometry, detector, "B"
-    ) * np.kron(eye, coeff)
+    return _pair_field_matrices(scheme, geometry, detector.n[None], detector.epsilon)[0]
 
 
 def _check_pair_state(scheme: LevelScheme, rho_ab) -> np.ndarray:
@@ -77,11 +95,32 @@ def g2_exact(
     cross-atom two-photon amplitudes survive, which is where the fringes
     come from.
     """
+    return float(_g2_exact_stack(scheme, geometry, det_1, det_2.epsilon, det_2.n[None], rho_ab)[0])
+
+
+def _g2_exact_stack(
+    scheme: LevelScheme,
+    geometry: Geometry,
+    det_1: Detector,
+    epsilon_2,
+    directions_2: np.ndarray,
+    rho_ab,
+) -> np.ndarray:
+    """:func:`g2_exact` with det_1 fixed and the analyzer epsilon_2 at every row of
+    directions_2, evaluated ``_BLOCK`` directions at a time.
+
+    With M = E2^(+) E1^(+), the rate tr(rho_AB M^dag M) is the sum over both
+    indices of conj(M) * (M rho_AB); each value gets its own realness check.
+    """
     rho_ab = _check_pair_state(scheme, rho_ab)
-    e1 = pair_field_matrix(scheme, geometry, det_1)
-    e2 = pair_field_matrix(scheme, geometry, det_2)
-    op = e1.conj().T @ e2.conj().T @ e2 @ e1
-    return _real_trace(complex(np.trace(rho_ab @ op)), "coincidence rate")
+    e_1 = pair_field_matrix(scheme, geometry, det_1)
+    rates = []
+    for start in range(0, len(directions_2), _BLOCK):
+        block = directions_2[start : start + _BLOCK]
+        m = _pair_field_matrices(scheme, geometry, block, epsilon_2) @ e_1
+        traces = np.sum(m.conj() * (m @ rho_ab), axis=(1, 2))
+        rates += [_real_trace(t, "coincidence rate") for t in traces.tolist()]
+    return np.array(rates)
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,12 +51,17 @@ def lowering_coefficients(scheme: LevelScheme, epsilon) -> np.ndarray:
     return coeff
 
 
+def _geometric_phases(geometry: Geometry, directions, r) -> np.ndarray:
+    """exp(-i k (n - n_l) . r) for one direction n or every row of an (N, 3) array."""
+    return np.exp(-1j * WAVENUMBER * ((directions - geometry.n_l) @ r))
+
+
 def geometric_phase(geometry: Geometry, detector: Detector, atom: str) -> complex:
     """exp(-i k (n - n_l) . R_atom) with k = 2*pi and positions in wavelengths."""
     if atom not in ("A", "B"):
         raise ValueError(f"atom must be 'A' or 'B', got {atom!r}")
     r = geometry.r_a if atom == "A" else geometry.r_b
-    return complex(np.exp(-1j * WAVENUMBER * ((detector.n - geometry.n_l) @ r)))
+    return complex(_geometric_phases(geometry, detector.n, r))
 
 
 @dataclass(frozen=True, eq=False)

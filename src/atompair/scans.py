@@ -57,7 +57,7 @@ from .atom_model import (
     sigma_polarization,
 )
 from .correlations import _correlations, _fringe_phase, _intensity, _traces
-from .exact_oracle import g2_exact
+from .exact_oracle import _g2_exact_stack
 
 __all__ = [
     "scan_angles",
@@ -218,11 +218,10 @@ def g2_exact_scan(
     plane: str = "xy",
     n_points: int = 360,
 ) -> np.ndarray:
-    """G2 of the pair state rho (x) rho from the product-space oracle, point by
-    point over the grid of :func:`g2_scan`: the independent route its
-    factorized column is compared against."""
+    """G2 of the pair state rho (x) rho from the product-space oracle over the grid
+    of :func:`g2_scan`: the independent route its factorized column is compared
+    against, evaluated as stacks of pair field operators."""
     _, n_ref, n_2 = _scan_directions(plane, n_points)
-    det_1 = Detector(n_ref, polarization_1)
-    rho_pair = np.kron(rho, rho)
-    exact = [g2_exact(scheme, geometry, det_1, Detector(n, polarization_2), rho_pair) for n in n_2]
-    return np.array(exact)
+    # Detector checks that both analyzers are unit vectors
+    det_1, det_2 = (Detector(n_ref, eps) for eps in (polarization_1, polarization_2))
+    return _g2_exact_stack(scheme, geometry, det_1, det_2.epsilon, n_2, np.kron(rho, rho))

@@ -1,8 +1,9 @@
 """Reference routines that only the tests use.
 
 The package computes steady states and the equal-time pair quantities; the
-routines here propagate states in time, check them, and build the generator
-of the pair, so that the tests can compare the package against them.
+routines here propagate states in time, check them, build the generator of
+the pair and evaluate the coincidence rate one detector pair at a time, so
+that the tests can compare the package against them.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from atompair.dynamics import (
     unvectorize,
     vectorize,
 )
+from atompair.farfield import geometric_phase, lowering_coefficients
 
 
 def propagate(liouvillian, rho0, t) -> np.ndarray:
@@ -55,3 +57,17 @@ def product_liouvillian(scheme, params) -> np.ndarray:
     jumps = [np.kron(op, eye) for op in jump_operators(scheme)]
     jumps += [np.kron(eye, op) for op in jump_operators(scheme)]
     return liouvillian_matrix(h_pair, jumps)
+
+
+def g2_exact_per_point(scheme, geometry, det_1, det_2, rho_ab) -> float:
+    """Re trace(rho_AB E1^dag E2^dag E2 E1) for one detector pair, with each pair field
+    operator E = phase_A kron(c, 1) + phase_B kron(1, c) built by np.kron."""
+
+    def field(det):
+        coeff = lowering_coefficients(scheme, det.epsilon)
+        eye = np.eye(scheme.n_levels)
+        phase_a = geometric_phase(geometry, det, "A")
+        return phase_a * np.kron(coeff, eye) + geometric_phase(geometry, det, "B") * np.kron(eye, coeff)
+
+    e1, e2 = field(det_1), field(det_2)
+    return float(np.trace(np.asarray(rho_ab) @ e1.conj().T @ e2.conj().T @ e2 @ e1).real)

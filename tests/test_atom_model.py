@@ -7,9 +7,12 @@ from numpy.testing import assert_allclose
 from atompair import (
     Detector,
     DriveDecayParams,
+    Geometry,
     Transition,
+    intensity_visibility,
     make_detector,
     pi_polarization,
+    pure_state,
     sigma_polarization,
     standard_geometry,
     transverse_basis,
@@ -172,9 +175,9 @@ class TestDetector:
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -203,5 +206,43 @@ NAN = float("nan")
     ],
 )
 def test_validators_reject_nan(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+PARAMS = DriveDecayParams(g=1.0, gamma0=0.5, gamma=0.5)
+
+
+# each case raises ValueError before any arithmetic that would warn
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: pure_state([INF, 0.0]), "entries must be finite"),
+        (lambda: pure_state([NAN, 0.0]), "entries must be finite"),
+        (lambda: intensity_visibility(PARAMS, [0.0, 0.0, INF]), "entries must be finite"),
+        (lambda: standard_geometry(0.5, (0.0, INF, 0.0)), "entries must be finite"),
+        (lambda: standard_geometry(INF), "separation must be > 0 and finite"),
+        (lambda: DriveDecayParams(g=INF, gamma0=0.5, gamma=0.5), "g must be >= 0 and finite"),
+        (lambda: DriveDecayParams(g=1.0, gamma0=INF, gamma=0.5), "half-rates must be >= 0 and finite"),
+        (lambda: DriveDecayParams(g=1.0, gamma0=0.5, gamma=INF), "half-rates must be >= 0 and finite"),
+        (lambda: Transition(upper=0, lower=1, dipole=Z_HAT, decay_rate=INF), "decay rate"),
+        (lambda: Geometry(r_a=[INF, 0.0, 0.0], r_b=[0.0, 0.0, 0.0], n_l=Y_HAT), "positions must be finite"),
+        (lambda: Geometry(r_a=[0.0, 0.0, 0.0], r_b=[0.0, NAN, 0.0], n_l=Y_HAT), "positions must be finite"),
+    ],
+    ids=[
+        "inf_amplitude",
+        "nan_amplitude",
+        "inf_visibility_analyzer",
+        "inf_drive_direction",
+        "inf_separation",
+        "inf_g",
+        "inf_gamma0",
+        "inf_gamma",
+        "inf_decay_rate",
+        "inf_position",
+        "nan_position",
+    ],
+)
+def test_validators_reject_non_finite(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from atompair import (
     Detector,
     DriveDecayParams,
     build_liouvillian,
+    g2_exact,
     g2_normalized_closed_form,
     hg_level_scheme,
     intensity,
@@ -21,10 +23,12 @@ from atompair.scans import (
     g2_scan,
     intensity_scan,
     reference_direction,
+    scan_angles,
     scan_direction,
 )
 
 from conftest import patch_aliases
+from reference import g2_exact_per_point
 
 PARAMS = DriveDecayParams(g=0.7, gamma0=0.3, gamma=0.5)
 # separation 0.8 and a drive with a component along the atom axis (x), so the
@@ -89,8 +93,9 @@ def test_g2_scan_never_reaches_the_oracle(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("g2_scan called the product-space oracle")
 
-    aliases = patch_aliases(monkeypatch, exact_oracle.g2_exact, refuse)
-    assert (exact_oracle, "g2_exact") in aliases
+    # the point query and the stacked evaluation that g2_exact_scan goes through
+    for target in (exact_oracle.g2_exact, exact_oracle._g2_exact_stack):
+        assert (exact_oracle, target.__name__) in patch_aliases(monkeypatch, target, refuse)
     scheme = SCHEMES["four-level"]
     rho = steady_state_numeric(build_liouvillian(scheme, PARAMS))
     eps_1, eps_2 = ANALYZER_PAIRS[1]
@@ -98,3 +103,50 @@ def test_g2_scan_never_reaches_the_oracle(monkeypatch):
     assert scan.g2_factorized.shape == (36,)
     with pytest.raises(AssertionError, match="oracle"):
         g2_exact_scan(scheme, GEOMETRY, eps_1, eps_2, rho, n_points=36)
+
+
+# 15, 16 and 17 points straddle one evaluation block of the stacked oracle
+@pytest.mark.parametrize("n_points", [2, 15, 16, 17, 361])
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+def test_stacked_oracle_matches_per_point_formula(scheme_name, n_points):
+    scheme = SCHEMES[scheme_name]
+    steady = steady_state_numeric(build_liouvillian(scheme, PARAMS))
+    directions = scan_direction("xy", scan_angles(n_points))
+    for rho, (eps_1, eps_2) in itertools.product((steady, SUPERPOSITIONS[scheme_name]), ANALYZER_PAIRS):
+        rho_pair = np.kron(rho, rho)
+        det_1 = Detector(reference_direction("xy"), eps_1)
+        dets_2 = [Detector(n, eps_2) for n in directions]
+        expected = np.array([g2_exact_per_point(scheme, GEOMETRY, det_1, d, rho_pair) for d in dets_2])
+        scale = np.max(np.abs(expected))
+        column = g2_exact_scan(scheme, GEOMETRY, eps_1, eps_2, rho, n_points=n_points)
+        points = np.array([g2_exact(scheme, GEOMETRY, det_1, d, rho_pair) for d in dets_2])
+        assert column.shape == (n_points,)
+        assert np.max(np.abs(column - expected)) <= 1e-15 * scale
+        assert np.max(np.abs(points - expected)) <= 1e-15 * scale
+
+
+def test_stacked_oracle_rejects_a_non_hermitian_pair_state():
+    scheme = SCHEMES["four-level"]
+    rng = np.random.default_rng(83)
+    rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    eps_1, eps_2 = ANALYZER_PAIRS[1]
+    with pytest.raises(ValueError, match="coincidence rate should be real"):
+        g2_exact_scan(scheme, GEOMETRY, eps_1, eps_2, rho, n_points=17)
+    det_1 = Detector(reference_direction("xy"), eps_1)
+    det_2 = Detector(scan_direction("xy", 1.0), eps_2)
+    with pytest.raises(ValueError, match="coincidence rate should be real"):
+        g2_exact(scheme, GEOMETRY, det_1, det_2, np.kron(rho, rho))
+
+
+def test_stacked_oracle_memory_stays_flat():
+    scheme = SCHEMES["four-level"]
+    rho = steady_state_numeric(build_liouvillian(scheme, PARAMS))
+    eps_1, eps_2 = ANALYZER_PAIRS[1]
+    tracemalloc.start()
+    try:
+        g2_exact_scan(scheme, GEOMETRY, eps_1, eps_2, rho, n_points=3600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (3600, 16, 16) complex stack of field operators alone takes 14.7 MB
+    assert peak < 2e6

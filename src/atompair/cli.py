@@ -218,8 +218,8 @@ def cmd_g2_scan(config: RunConfig) -> int:
     return 0
 
 
-def cmd_validate(config: RunConfig, inject_trace_bug: bool = False) -> int:
-    report = run_validation(config, inject_trace_bug=inject_trace_bug)
+def cmd_validate(config: RunConfig) -> int:
+    report = run_validation(config)
     for group in report.groups:
         for check in group.checks:
             status = "PASS" if check.passed else "FAIL"
@@ -248,8 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--output", help="output path (overrides the config 'path' key)")
         cmd.add_argument("--format", choices=("csv", "json"), help="output format override")
         cmd.add_argument("--seed", type=int, help="RNG seed override")
-        if name == "validate":
-            cmd.add_argument("--inject-trace-bug", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -278,7 +276,7 @@ def main(argv=None) -> int:
         if args.command == "g2-scan":
             return cmd_g2_scan(config)
         if args.command == "validate":
-            return cmd_validate(config, inject_trace_bug=args.inject_trace_bug)
+            return cmd_validate(config)
     except DegenerateSteadyStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

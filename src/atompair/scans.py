@@ -101,10 +101,12 @@ def reference_direction(plane: str) -> np.ndarray:
     raise ValueError(f"scan plane must be one of {_PLANES}, got {plane!r}")
 
 
-def _scan_directions(plane: str, n_points: int):
-    """Scan angles, the fixed detector's direction and the moving detector's directions."""
+def _scan_grid(plane: str, n_points: int, *polarizations):
+    """Scan angles, the moving detector's directions and one :class:`Detector` per analyzer
+    at the reference direction, which rejects an analyzer that is not a finite unit vector."""
     angles = scan_angles(n_points)
-    return angles, reference_direction(plane), scan_direction(plane, angles)
+    n_ref = reference_direction(plane)
+    return angles, scan_direction(plane, angles), [Detector(n_ref, eps) for eps in polarizations]
 
 
 def resolve_polarization(kind: str, n_ref, vector=None) -> np.ndarray:
@@ -150,9 +152,9 @@ def intensity_scan(
     n_points: int = 360,
 ) -> IntensityScan:
     """Far-field intensity of two atoms in state rho over a full circle of directions."""
-    angles = scan_angles(n_points)
-    phases = _fringe_phase(geometry, scan_direction(plane, angles))
-    a, m = _traces(scheme, rho, polarization)
+    angles, n, (det,) = _scan_grid(plane, n_points, polarization)
+    phases = _fringe_phase(geometry, n)
+    a, m = _traces(scheme, rho, det.epsilon)
     values = _intensity(a[0, 0], m[0], phases)
     return IntensityScan(
         angles=angles,
@@ -187,12 +189,12 @@ def g2_scan(
 ) -> G2Scan:
     """Coincidences of two atoms in state rho: detector 1 fixed at the reference
     direction, detector 2 sweeping the scan plane, both analyzers held fixed."""
-    angles, n_ref, n_2 = _scan_directions(plane, n_points)
-    phases = _fringe_phase(geometry, n_ref, n_2)
+    angles, n_2, (det_1, det_2) = _scan_grid(plane, n_points, polarization_1, polarization_2)
+    phases = _fringe_phase(geometry, det_1.n, n_2)
     fact, gam2, norm, witness = _correlations(
-        *_traces(scheme, rho, polarization_1, polarization_2),
+        *_traces(scheme, rho, det_1.epsilon, det_2.epsilon),
         phases,
-        _fringe_phase(geometry, n_ref),
+        _fringe_phase(geometry, det_1.n),
         _fringe_phase(geometry, n_2),
     )
     return G2Scan(
@@ -221,7 +223,5 @@ def g2_exact_scan(
     """G2 of the pair state rho (x) rho from the product-space oracle over the grid
     of :func:`g2_scan`: the independent route its factorized column is compared
     against, evaluated as stacks of pair field operators."""
-    _, n_ref, n_2 = _scan_directions(plane, n_points)
-    # Detector checks that both analyzers are unit vectors
-    det_1, det_2 = (Detector(n_ref, eps) for eps in (polarization_1, polarization_2))
+    _, n_2, (det_1, det_2) = _scan_grid(plane, n_points, polarization_1, polarization_2)
     return _g2_exact_stack(scheme, geometry, det_1, det_2.epsilon, n_2, np.kron(rho, rho))

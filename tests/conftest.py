@@ -8,6 +8,7 @@ from atompair import (
     hg_level_scheme,
     standard_geometry,
     steady_state_numeric,
+    validation,
 )
 
 # the same random draws as the validate suite: g log-uniform over
@@ -29,6 +30,24 @@ def patch_aliases(monkeypatch, target, replacement):
     for module, name in aliases:
         monkeypatch.setattr(module, name, replacement)
     return aliases
+
+
+def substitute_rejected_formula(monkeypatch):
+    """Make every validation check that reads the closed-form steady state read the rejected
+    ground populations of ``validation._rejected_steady_state`` instead.
+
+    That function calls ``steady_state_analytic`` by name, so the fake is built on the closed
+    form captured before patching; going through the patched name would recurse.
+    """
+    closed_form = validation.steady_state_analytic
+
+    def rejected(params):
+        rho = closed_form(params)
+        g, gam = params.g, params.total
+        rho[1, 1] = rho[3, 3] = 1.0 - (3.0 * g**2 - gam**2) / (2.0 * (2.0 * g**2 + gam**2))
+        return rho
+
+    monkeypatch.setattr(validation, "steady_state_analytic", rejected)
 
 
 @pytest.fixture

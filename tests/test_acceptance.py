@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from atompair import dynamics, standard_geometry
+from atompair import dynamics, farfield, standard_geometry
 from atompair.config import RunConfig
 from atompair.validation import (
     _g2_modulation_group,
@@ -23,9 +23,10 @@ from atompair.validation import (
     _trace_group,
     _visibility_group,
     _witness_group,
+    run_validation,
 )
 
-from conftest import patch_aliases
+from conftest import patch_aliases, substitute_rejected_formula
 
 GEOMETRY = standard_geometry(0.5)
 
@@ -48,14 +49,17 @@ def timed(group_fn, *args):
 
 def test_criterion_01_steady_state_agreement():
     # g log-uniform in [0.01, 100] Gamma; the closed form has no cross coherences
-    group, elapsed = timed(_steady_state_group, np.random.default_rng(1), False)
+    group, elapsed = timed(_steady_state_group, np.random.default_rng(1))
     assert elapsed < 1.0
     accept(1, group, note=f"; {elapsed:.2f}s < 1s")
 
 
-def test_criterion_02_trace_typo_detection():
-    assert not _trace_group(inject=True).passed
-    accept(2, _trace_group(inject=False), note="; the injected bug fails the group")
+def test_criterion_02_trace_typo_detection(monkeypatch):
+    group = _trace_group()
+    substitute_rejected_formula(monkeypatch)
+    assert not _trace_group().passed
+    assert not _steady_state_group(np.random.default_rng(1)).passed
+    accept(2, group, note="; the injected bug fails the group")
 
 
 def test_criterion_03_intensity_visibility():
@@ -92,6 +96,16 @@ def test_normalized_group_solves_once(monkeypatch):
     patch_aliases(monkeypatch, solve, counted)
     assert _normalized_group(GEOMETRY).passed
     assert len(calls) == 1
+
+
+def test_validate_never_reaches_the_operator_route(monkeypatch):
+    # every check has an independent route of its own; the field-operator route is a test reference
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate called the operator route")
+
+    for target in (farfield.field_operator, farfield.mean_field, farfield.g1, farfield.intensity):
+        assert (farfield, target.__name__) in patch_aliases(monkeypatch, target, refuse)
+    assert run_validation(RunConfig(n_traj=60, t_total=20)).passed
 
 
 def test_criterion_08_nonclassicality_witness():

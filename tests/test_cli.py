@@ -8,6 +8,8 @@ import pytest
 from atompair.cli import main
 from atompair.config import ConfigError, parse_config_text
 
+from conftest import substitute_rejected_formula
+
 FAST_MC = "n_traj = 60\nt_total = 40\nseed = 7\n"
 
 
@@ -316,12 +318,19 @@ class TestValidateCommand:
         assert {"steady_state", "trace_normalization", "monte_carlo"} <= names
         assert "mc_jumps_per_traj = " in captured
 
-    def test_injected_trace_bug_fails(self, tmp_path, capsys):
+    def test_injected_trace_bug_fails(self, tmp_path, capsys, monkeypatch):
+        substitute_rejected_formula(monkeypatch)
         cfg = write_config(tmp_path, FAST_MC)
-        code = main(["validate", "--config", cfg, "--inject-trace-bug"])
+        code = main(["validate", "--config", cfg])
         captured = capsys.readouterr().out
         assert code == 1
         assert "FAIL  trace_normalization" in captured
+
+    def test_has_no_fault_injection_switch(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "--inject-trace-bug"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --inject-trace-bug" in capsys.readouterr().err
 
 
 # Stored outputs of the scan and steady-state commands at small non-standard

@@ -105,6 +105,19 @@ def test_g2_scan_never_reaches_the_oracle(monkeypatch):
         g2_exact_scan(scheme, GEOMETRY, eps_1, eps_2, rho, n_points=36)
 
 
+@pytest.mark.parametrize("analyzer", [[np.nan, 0.0, 1.0], [0.0, 0.0, 2.0]], ids=["nan", "norm-2"])
+@pytest.mark.parametrize("scan", [intensity_scan, g2_scan, g2_exact_scan], ids=lambda f: f.__name__)
+def test_scans_reject_an_analyzer_that_is_not_a_unit_vector(scan, analyzer):
+    # unchecked, a NaN entry gives all-NaN columns and a norm of 2 scales intensities by 4
+    scheme = SCHEMES["four-level"]
+    rho = steady_state_numeric(build_liouvillian(scheme, PARAMS))
+    good = ANALYZER_PAIRS[1][0]
+    slots = [(analyzer,)] if scan is intensity_scan else [(analyzer, good), (good, analyzer)]
+    for analyzers in slots:
+        with pytest.raises(ValueError, match="polarization eps must satisfy"):
+            scan(scheme, GEOMETRY, *analyzers, rho)
+
+
 # 15, 16 and 17 points straddle one evaluation block of the stacked oracle
 @pytest.mark.parametrize("n_points", [2, 15, 16, 17, 361])
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))

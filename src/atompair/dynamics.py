@@ -216,8 +216,23 @@ class QuantumJumpResult:
     rho: np.ndarray
     stderr: np.ndarray
     n_traj: int
-    n_samples: int
+    n_samples: int  # averaging window [t_burn, t_total] in grid steps: its length is n_samples dt
     n_jumps: int  # jumps of all trajectories within the horizon
+
+
+# Buffered jumps per refill of a trajectory's draws: rng.random((n, 2)) returns the same
+# numbers as 2 n scalar calls, so the substreams and the draw order do not depend on it
+_DRAW_BLOCK = 16
+# The integral of the normalized projector is tabulated every `stride` grid steps, and the
+# rest of a stretch is integrated from the last tabulated point on: stride = _STRIDE where a
+# grid step is one quadrature piece, down to 1 at strong drives, where it is many
+_STRIDE = 4
+# 5-point Gauss-Legendre rule mapped to [0, 1] (Abramowitz & Stegun 25.4.29): on pieces with
+# ||a|| * piece <= 1/2 its error is at the rounding level for any drive
+_INNER, _OUTER = (math.sqrt(5.0 + sign * 2.0 * math.sqrt(10.0 / 7.0)) / 3.0 for sign in (-1, 1))
+_NODES = 0.5 + 0.5 * np.array([-_OUTER, -_INNER, 0.0, _INNER, _OUTER])
+_WEIGHTS = np.array([322.0, 322.0, 512.0, 322.0, 322.0]) / 1800
+_WEIGHTS += np.array([-13.0, 13.0, 0.0, 13.0, -13.0]) * math.sqrt(70.0) / 1800
 
 
 def quantum_jump_estimate(
@@ -237,14 +252,20 @@ def quantum_jump_estimate(
     |lower><upper|, so after a jump the state is a basis vector e_k and each trajectory is a
     renewal process: until the next jump it is E(tau) e_k, with E(tau) = expm(-i H_eff tau) and
     H_eff = H - (i/2) sum_c L_c^dag L_c, whose squared norm S_k(tau) is the survival function of
-    the waiting time.  E(m dt) e_k is tabulated once per restart level; the jump falls where S_k
-    reaches the drawn threshold, bracketed on the table and solved to machine precision with
-    exact propagation inside one grid step (no discretization bias), and the channel is drawn
-    with weights rate_c |psi_upper_c|^2 there.  Each round moves every live trajectory one jump
-    ahead, vectorized, so the cost scales with the jumps.  The normalized projector is sampled
-    on the fixed grid t_n = n dt, dt = 0.02/Gamma; after the first ``burn_fraction`` of the
-    grid, samples are time averaged per trajectory, and each entry's standard error is taken
-    across trajectories.
+    the waiting time.  E(m dt) e_k is tabulated once per restart level on the grid dt =
+    0.02/Gamma; the jump falls where S_k reaches the drawn threshold, bracketed on the table and
+    solved to machine precision with exact propagation inside one grid step (no discretization
+    bias), and the channel is drawn with weights rate_c |psi_upper_c|^2 there.
+
+    Estimator: the exact time average of the normalized projector P = psi psi^dag / |psi|^2 over
+    [t_burn, t_total], t_total = n_steps dt and t_burn = (n_steps - n_samples) dt, the first
+    ``burn_fraction`` of the horizon.  By the renewal structure (Breuer & Petruccione, The Theory
+    of Open Quantum Systems, OUP 2002, ch. 6) a stretch from level k contributes
+    F_k(tau_b) - F_k(tau_a), F_k(tau) = int_0^tau P(E(s) e_k) ds, between its part's ends in the
+    window; F_k is tabulated once per restart level by Gauss-Legendre quadrature and completed by
+    a short quadrature from the last tabulated point.  Each round moves every live trajectory one
+    jump ahead and adds its stretch, vectorized, so the cost scales with the jumps.  Each entry's
+    standard error is taken across the per-trajectory averages.
 
     Determinism: trajectory i draws only from its own substream of ``SeedSequence(seed)``,
     in a fixed order (the first threshold; per jump, the channel, then the next threshold),
@@ -266,6 +287,7 @@ def quantum_jump_estimate(
     n_samples = n_steps - int(round(burn_fraction * n_steps))
     if n_samples == 0:
         raise ValueError("no samples collected; decrease burn_fraction or increase t_total")
+    burn = n_steps - n_samples  # t_burn = burn dt
 
     uppers = np.array([t.upper for t in scheme.transitions])
     lowers = np.array([t.lower for t in scheme.transitions])
@@ -274,7 +296,8 @@ def quantum_jump_estimate(
     np.add.at(a, (uppers, uppers), -0.5 * rates)
     # propagate(taus)[i] = expm(a taus[i]) for 0 <= taus <= dt: degree-18 Taylor series of
     # expm(a tau / 2^s) with ||a dt / 2^s||_1 <= 1/2 (truncation below 1e-22), squared s times
-    squarings = max(0, math.ceil(math.log2(max(2.0 * dt * np.abs(a).sum(axis=0).max(), 1.0))))
+    norm_dt = dt * np.abs(a).sum(axis=0).max()
+    squarings = max(0, math.ceil(math.log2(max(2.0 * norm_dt, 1.0))))
     terms = [np.eye(dim, dtype=complex)]
     for n in range(1, 19):
         terms.append(terms[-1] @ a / n)
@@ -282,7 +305,8 @@ def quantum_jump_estimate(
 
     def propagate(taus) -> np.ndarray:
         x = np.asarray(taus, dtype=float)[:, None] / 2.0**squarings
-        out = (x ** np.arange(len(terms)) @ terms).reshape(-1, dim, dim)
+        # complex powers: the same product bit for bit, about twice as fast as mixed types
+        out = ((x ** np.arange(len(terms))).astype(complex) @ terms).reshape(-1, dim, dim)
         for _ in range(squarings):
             out = out @ out
         return out
@@ -297,6 +321,68 @@ def quantum_jump_estimate(
         table[:, filled : filled + n] = table[:, :n] @ power.T
         power, filled = power @ power, filled + n
     neg_survival = -np.einsum("lmi,lmi->lm", table, table.conj()).real
+
+    # composite Gauss-Legendre rule on [0, 1]: 2^squarings equal pieces, _NODES nodes each
+    pieces = 2**squarings
+    step_nodes = ((np.arange(pieces)[:, None] + _NODES) / pieces).ravel()
+    step_weights = np.tile(_WEIGHTS / pieces, pieces)
+    # v @ whole_step holds E(dt y_i) v at the nodes y_i of one grid step, i-major
+    whole_step = propagate(dt * step_nodes).transpose(2, 0, 1).reshape(dim, -1)
+    # h^k @ piece_terms = E(h c) for c = the nodes and 1, h <= dt / pieces: the Taylor terms
+    # c^k a^k / k! up to a truncation below 2^-60, as interleaved real and imaginary parts
+    theta = norm_dt / pieces
+    short = next(n for n in range(1, 20) if theta**n / math.factorial(n) < 2.0**-60)
+    coefficients = np.append(_NODES, 1.0) ** np.arange(short)[:, None]
+    piece_terms = (coefficients[:, :, None] * terms[:short, None]).reshape(short, -1).view(float)
+    stride = max(1, _STRIDE // pieces)
+    # rows of about 2^11 node states keep every matrix product small enough that OpenBLAS runs
+    # it on one thread: waking its threads costs more than they save on products this size
+    chunk = max(1, 2**11 // (stride * len(step_nodes)))
+
+    def projector_sum(psi, weights) -> np.ndarray:
+        """sum_n weights[r, n] P(psi[r, n]), P(psi) = psi psi^dag / |psi|^2, as the real
+        matrix Re + Im: a Hermitian M is (R + R^T)/2 + i (R - R^T)/2 of R = Re M + Im M."""
+        norm = np.sqrt(np.einsum("rnx,rnx->rn", psi.view(float), psi.view(float)))
+        # S_k underflows to 0 only far past any drawn threshold, where no stretch reaches
+        scale = np.divide(np.sqrt(weights), norm, out=np.zeros_like(norm), where=norm > 0)
+        phi = psi * scale[..., None]
+        gram = np.swapaxes(phi, 1, 2) @ phi.conj()
+        return gram.real + gram.imag
+
+    # cumulative[l, b] = F_k(b stride dt) for restart row l: block sums of whole steps
+    blocks = n_steps // stride
+    cumulative = np.zeros((len(restart), blocks + 1, dim, dim))
+    for level in range(len(restart)):
+        for lo in range(0, blocks * stride, chunk * stride):
+            hi = min(lo + chunk * stride, blocks * stride)
+            psi = (table[level, lo:hi] @ whole_step).reshape((hi - lo) // stride, -1, dim)
+            weights = np.broadcast_to(np.tile(dt * step_weights, stride), psi.shape[:2])
+            cumulative[level, lo // stride + 1 : hi // stride + 1] = projector_sum(psi, weights)
+        np.cumsum(cumulative[level], axis=0, out=cumulative[level])
+
+    def integrated(lev, m, frac) -> np.ndarray:
+        """F_k(m dt + frac) for 0 <= frac <= dt: the tabulated value at base = the last
+        multiple of stride, the whole steps base .. m - 1, and the fraction of step m."""
+        out = cumulative[lev, m // stride]
+        after = np.arange(stride - 1)  # whole steps base + after, weighted where after < m - base
+        for lo in range(0, len(m), chunk):
+            k, j, f = lev[lo : lo + chunk], m[lo : lo + chunk, None], frac[lo : lo + chunk]
+            cols = np.minimum(j - j % stride + after, n_steps)
+            psi = (table[k[:, None], cols].reshape(-1, dim) @ whole_step).reshape(len(j), -1, dim)
+            weights = (dt * (after < j % stride))[:, :, None] * step_weights
+            # the fraction: E(h x_i) for h = f / pieces, and the piece starts E(j h) by doubling
+            h = f / pieces
+            inner = (h[:, None] ** np.arange(short) @ piece_terms).view(complex)
+            inner = inner.reshape(len(j), len(_NODES) + 1, dim, dim)
+            power, starts = np.swapaxes(inner[:, -1], 1, 2), table[k[:, None], j]
+            for _ in range(squarings):
+                starts = np.concatenate([starts, starts @ power], axis=1)
+                power = power @ power
+            inner = inner[:, :-1].transpose(0, 3, 1, 2).reshape(len(j), dim, -1)
+            psi = np.concatenate([psi, (starts @ inner).reshape(len(j), -1, dim)], axis=1)
+            weights = np.concatenate([weights.reshape(len(j), -1), f[:, None] * step_weights], 1)
+            out[lo : lo + chunk] += projector_sum(psi, weights)
+        return out
 
     def decay(psi):  # rate_c |psi_upper_c|^2: the channel weights, summing to -dS/dtau
         return rates * np.abs(psi[:, uppers]) ** 2
@@ -326,6 +412,8 @@ def quantum_jump_estimate(
         raise RuntimeError("jump-time root finding did not converge")
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
+    draws = np.empty((n_traj, _DRAW_BLOCK, 2))  # per jump: channel, threshold
+    used = np.full(n_traj, _DRAW_BLOCK)  # buffered jumps consumed
     # trajectory i restarted from level row[i] at time start[i] dt - r0[i], 0 <= r0 < dt,
     # so its grid point start[i] + j holds E(r0 + j dt) e_k
     row = np.full(n_traj, np.searchsorted(restart, initial_level))
@@ -333,44 +421,56 @@ def quantum_jump_estimate(
     r0 = np.zeros(n_traj)
     thresholds = np.array([rng.random() for rng in rngs])
     live = np.arange(n_traj)
-    acc = np.zeros((n_traj, dim, dim), dtype=complex)
+    acc = np.zeros((n_traj, dim, dim))  # Re + Im of each trajectory's integral
     n_jumps = 0
     while live.size:
         lev, first, off, thresh = row[live], start[live], r0[live], thresholds[live]
         m = np.empty(live.size, dtype=int)  # first table index with survival below threshold
         for level in np.unique(lev):
             m[lev == level] = np.searchsorted(neg_survival[level], -thresh[lev == level], "right")
-        n_cov = n_steps + 1 - first  # grid points left, all covered unless a jump comes first
-        cand = np.flatnonzero((m < table.shape[1]) & ((m - 1) * dt < off + (n_cov - 1) * dt))
+        cand = np.flatnonzero((m < table.shape[1]) & ((m - 1) * dt < off + (n_steps - first) * dt))
         delta, psi_jump = crossing(lev[cand], m[cand] - 1, thresh[cand])
         # jump at tau = (m - 1) dt + delta, after the grid points r0 + j dt it covers
         past = delta > off[cand]
         covered = m[cand] - 1 + past
         jumped = first[cand] + covered <= n_steps
-        n_cov[cand[jumped]] = covered[jumped]
-        # normalized projector at the covered grid points after the burn-in
-        j_lo = np.maximum(n_steps - n_samples + 1 - first, 0)
-        for i, v in zip(np.flatnonzero(n_cov > j_lo), propagate(off[n_cov > j_lo])):
-            psi = table[lev[i], j_lo[i] : n_cov[i]] @ v.T
-            norms2 = np.einsum("sa,sa->s", psi, psi.conj()).real
-            acc[live[i]] += (psi / norms2[:, None]).T @ psi.conj()
         cand, delta, past, covered = cand[jumped], delta[jumped], past[jumped], covered[jumped]
+        # the stretch ends at end_m dt + end_f in its own time: the jump, else t_total; its part
+        # after t_burn (at cut_m dt + r0) adds F_k(end) - F_k(cut), F_k(cut) = 0 for cut <= 0
+        end_m, end_f = n_steps - first, off.copy()
+        end_m[cand], end_f[cand] = m[cand] - 1, delta
+        cut_m = burn - first
+        cut = cut_m * dt + off
+        ends = np.flatnonzero(end_m * dt + end_f > np.maximum(cut, 0.0))
+        cuts = ends[cut[ends] > 0]
+        values = integrated(
+            lev[np.concatenate([ends, cuts])],
+            np.concatenate([end_m[ends], cut_m[cuts]]),
+            np.concatenate([end_f[ends], off[cuts]]),
+        )
+        acc[live[ends]] += values[: ends.size]
+        acc[live[cuts]] -= values[ends.size :]
         weights = decay(psi_jump[jumped])
         total = weights.sum(axis=1)
         if np.any(total <= 0):
             raise RuntimeError("survival reached the jump threshold with no decaying amplitude")
         traj = live[cand]
-        draws = np.array([rngs[i].random(2) for i in traj]).reshape(-1, 2)  # channel, threshold
+        for i in traj[used[traj] == _DRAW_BLOCK]:
+            draws[i], used[i] = rngs[i].random((_DRAW_BLOCK, 2)), 0
+        draw = draws[traj, used[traj]]
+        used[traj] += 1
         # per row: searchsorted(cumsum(weights) / total, draw, side="right")
-        pick = (np.cumsum(weights, axis=1) / total[:, None] <= draws[:, :1]).sum(axis=1)
+        pick = (np.cumsum(weights, axis=1) / total[:, None] <= draw[:, :1]).sum(axis=1)
         row[traj] = np.searchsorted(restart, lowers[np.minimum(pick, len(rates) - 1)])
         start[traj] = first[cand] + covered
         r0[traj] = np.where(past, dt, 0.0) + off[cand] - delta
-        thresholds[traj] = draws[:, 1]
+        thresholds[traj] = draw[:, 1]
         n_jumps += traj.size
         live = traj
 
-    per_traj = acc / n_samples
+    # back from Re + Im to each trajectory's Hermitian time average
+    transposed = np.swapaxes(acc, 1, 2)
+    per_traj = (acc + transposed + 1j * (acc - transposed)) / (2 * n_samples * dt)
     rho = per_traj.mean(axis=0)
     if n_traj > 1:
         stderr = per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj)

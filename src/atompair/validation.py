@@ -390,7 +390,9 @@ def _superposition_group(geometry) -> Group:
     group.add(
         "fringe_amplitude_tracks_dipole",
         worst < 1e-10 and worst_dipole < 1e-14,
-        f"max |amplitude - 2|c_e c_g|^2| = {worst:.3e} over 5 amplitude ratios (tol 1e-10)",
+        f"max |scan amplitude - oracle amplitude| = {worst:.3e} (tol 1e-10), "
+        f"max |oracle amplitude - 2|c_e c_g|^2| = {worst_dipole:.3e} (tol 1e-14) "
+        "over 5 amplitude ratios",
     )
     # both atoms excited: no intensity fringes, full coincidence fringes
     rho_e = pure_state([1.0, 0.0])

@@ -7,6 +7,7 @@ defined once, in the groups.  Run with ``pytest tests/test_acceptance.py -v -s``
 to see one summary line per criterion, built from the check details.
 """
 
+import re
 import time
 
 import numpy as np
@@ -121,3 +122,15 @@ def test_criterion_09_monte_carlo_consistency():
 
 def test_criterion_10_superposition_contrast():
     accept(10, _superposition_group(GEOMETRY))
+
+
+def test_failing_fringe_check_reports_the_bound_it_misses():
+    # At separation 0.8 the 360-point scan holds no fringe extremum, so the oracle amplitude at
+    # the scan's brightest and darkest directions falls short of 2|c_e c_g|^2 and the check
+    # fails; its detail must then show a difference above its tolerance
+    group = _superposition_group(standard_geometry(0.8))
+    check = {c.name: c for c in group.checks}["fringe_amplitude_tracks_dipole"]
+    assert not check.passed
+    bounds = re.findall(r"= (\S+) \(tol (\S+)\)", check.detail)
+    assert len(bounds) == 2
+    assert any(float(value) > float(tol) for value, tol in bounds)

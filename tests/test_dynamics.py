@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 from scipy.optimize import brentq
+from scipy.special import roots_legendre
 
 from atompair import (
     DegenerateSteadyStateError,
@@ -19,7 +20,7 @@ from atompair import (
     two_level_scheme,
     two_level_steady_state_analytic,
 )
-from atompair.dynamics import drive_hamiltonian, unvectorize, vectorize
+from atompair.dynamics import _DRAW_BLOCK, drive_hamiltonian, unvectorize, vectorize
 from atompair.validation import _rejected_steady_state
 
 from conftest import random_params
@@ -253,6 +254,12 @@ class TestQuantumJump:
         res = quantum_jump_estimate(scheme, params, n_traj=50, t_total=30.0, seed=5)
         check_density_matrix(res.rho)
 
+    def test_horizon_past_survival_underflow(self, scheme, params):
+        # at 800/Gamma the tabulated no-jump states underflow to zero norm, far past any drawn
+        # threshold; the time average must give them no weight instead of dividing by zero
+        res = quantum_jump_estimate(scheme, params, n_traj=2, t_total=800.0, seed=3)
+        check_density_matrix(res.rho)
+
     def test_two_level_scheme(self):
         p = DriveDecayParams(g=0.8, gamma0=0.0, gamma=1.0)
         scheme = two_level_scheme(p.total)
@@ -263,9 +270,14 @@ class TestQuantumJump:
 
 
 def reference_jump_sampler(scheme, params, n_traj, t_total, seed, burn_fraction, initial_level):
-    """Scalar quantum-jump sampler: one trajectory at a time, exact expm at every grid
-    point, brentq for every jump time, and the estimator's draw order (threshold, then
-    per jump the channel and the next threshold)."""
+    """Scalar quantum-jump sampler: one trajectory at a time, scipy's expm for every state,
+    brentq for every jump time, and the estimator's draw order (threshold, then per jump the
+    channel and the next threshold).  The estimate is the time average of P = psi psi^dag /
+    |psi|^2 over [t_burn, t_total], integrated by 48-node Gauss-Legendre on every piece of a
+    grid interval between jumps (t_burn is a grid point, so no piece straddles it).
+
+    Returns rho, its standard error, the jumps of each trajectory, and the number of
+    trajectories whose stretch across t_burn began with a jump."""
     dim = scheme.n_levels
     dt = 0.02 / params.total
     n_steps = int(round(t_total / dt))
@@ -274,11 +286,15 @@ def reference_jump_sampler(scheme, params, n_traj, t_total, seed, burn_fraction,
     gen = -1j * drive_hamiltonian(scheme, params).astype(complex)
     for upper, _, rate in channels:
         gen[upper, upper] -= 0.5 * rate
-    per_traj = []
+    gl_nodes, gl_weights = roots_legendre(48)
+    gl_nodes, gl_weights = (gl_nodes + 1) / 2, gl_weights / 2
+    whole_step = np.array([expm(gen * dt * x) for x in gl_nodes])
+    per_traj, jumps, cut_after_jump = [], [], 0
     for child in np.random.SeedSequence(seed).spawn(n_traj):
         rng = np.random.default_rng(child)
         restart, level, thresh = 0.0, initial_level, rng.random()
         acc = np.zeros((dim, dim), dtype=complex)
+        n_jumps = 0
 
         def state(t):
             return expm(gen * (t - restart))[:, level]
@@ -286,21 +302,34 @@ def reference_jump_sampler(scheme, params, n_traj, t_total, seed, burn_fraction,
         def excess(t):
             return np.vdot(state(t), state(t)).real - thresh
 
+        def integral(lo, hi, props=None):  # of P over [lo, hi], inside one grid interval
+            if props is None:
+                props = np.array([expm(gen * (hi - lo) * x) for x in gl_nodes])
+            psi = props @ state(lo)
+            w = (hi - lo) * gl_weights / np.einsum("ia,ia->i", psi, psi.conj()).real
+            return np.einsum("i,ia,ib->ab", w, psi, psi.conj())
+
         for n in range(1, n_steps + 1):
+            lo = max(restart, (n - 1) * dt)
             while excess(n * dt) < 0:
-                lo = max(restart, (n - 1) * dt)
                 t_jump = brentq(excess, lo, n * dt, xtol=1e-15, rtol=1e-15)
+                if n > burn_steps:
+                    acc += integral(lo, t_jump)
                 psi = state(t_jump)
                 weights = np.array([rate * abs(psi[u]) ** 2 for u, _, rate in channels])
                 cum = np.cumsum(weights) / weights.sum()
                 pick = min(np.searchsorted(cum, rng.random(), side="right"), len(channels) - 1)
                 restart, level, thresh = t_jump, channels[pick][1], rng.random()
+                lo, n_jumps = t_jump, n_jumps + 1
             if n > burn_steps:
-                psi = state(n * dt)
-                acc += np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-        per_traj.append(acc / (n_steps - burn_steps))
+                acc += integral(lo, n * dt, whole_step if lo == (n - 1) * dt else None)
+            if n == burn_steps:
+                cut_after_jump += restart > 0
+        per_traj.append(acc / ((n_steps - burn_steps) * dt))
+        jumps.append(n_jumps)
     per_traj = np.array(per_traj)
-    return per_traj.mean(axis=0), per_traj.std(axis=0, ddof=1).real / math.sqrt(n_traj)
+    stderr = per_traj.std(axis=0, ddof=1).real / math.sqrt(n_traj)
+    return per_traj.mean(axis=0), stderr, jumps, cut_after_jump
 
 
 class TestQuantumJumpReference:
@@ -313,6 +342,10 @@ class TestQuantumJumpReference:
         "excited_start": (1.0, 0.3, 0.7, False, {"initial_level": 0}),
         "no_burn_in": (1.0, 0.5, 0.5, False, {"burn_fraction": 0.0}),
         "no_jumps": (1e-3, 0.5, 0.5, False, {}),
+        # more jumps per trajectory than one buffered block of draws
+        "draw_refill": (3.0, 0.5, 0.5, False, {"t_total": 40.0}),
+        # long stretches: the burn-in cut falls deep inside one that began with a jump
+        "burn_in_inside_stretch": (0.3, 0.5, 0.5, False, {"burn_fraction": 0.5}),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -320,19 +353,18 @@ class TestQuantumJumpReference:
         g, gamma0, gamma, two_level, kwargs = self.CASES[case]
         p = DriveDecayParams(g=g, gamma0=gamma0, gamma=gamma)
         scheme = two_level_scheme(p.total) if two_level else hg_level_scheme(p)
-        res = quantum_jump_estimate(scheme, p, n_traj=5, t_total=20.0, seed=31, **kwargs)
-        rho, stderr = reference_jump_sampler(
-            scheme,
-            p,
-            5,
-            20.0,
-            31,
-            kwargs.get("burn_fraction", 0.1),
-            kwargs.get("initial_level", min(scheme.ground_levels)),
-        )
+        defaults = {"t_total": 20.0, "burn_fraction": 0.1, "initial_level": min(scheme.ground_levels)}
+        kwargs = {**defaults, **kwargs}
+        res = quantum_jump_estimate(scheme, p, n_traj=5, seed=31, **kwargs)
+        rho, stderr, jumps, cut_after_jump = reference_jump_sampler(scheme, p, 5, seed=31, **kwargs)
         assert np.max(np.abs(res.rho - rho)) <= 1e-9
         assert np.max(np.abs(res.stderr - stderr)) <= 1e-9
+        assert res.n_jumps == sum(jumps)
         assert (res.n_jumps == 0) == (case == "no_jumps")
+        if case == "draw_refill":
+            assert max(jumps) > _DRAW_BLOCK
+        if case == "burn_in_inside_stretch":
+            assert cut_after_jump > 0
 
     def test_single_trajectory_has_infinite_stderr(self, scheme, params):
         res = quantum_jump_estimate(scheme, params, n_traj=1, t_total=10.0, seed=3)

@@ -223,16 +223,6 @@ class QuantumJumpResult:
 # Buffered jumps per refill of a trajectory's draws: rng.random((n, 2)) returns the same
 # numbers as 2 n scalar calls, so the substreams and the draw order do not depend on it
 _DRAW_BLOCK = 16
-# The integral of the normalized projector is tabulated every `stride` grid steps, and the
-# rest of a stretch is integrated from the last tabulated point on: stride = _STRIDE where a
-# grid step is one quadrature piece, down to 1 at strong drives, where it is many
-_STRIDE = 4
-# 5-point Gauss-Legendre rule mapped to [0, 1] (Abramowitz & Stegun 25.4.29): on pieces with
-# ||a|| * piece <= 1/2 its error is at the rounding level for any drive
-_INNER, _OUTER = (math.sqrt(5.0 + sign * 2.0 * math.sqrt(10.0 / 7.0)) / 3.0 for sign in (-1, 1))
-_NODES = 0.5 + 0.5 * np.array([-_OUTER, -_INNER, 0.0, _INNER, _OUTER])
-_WEIGHTS = np.array([322.0, 322.0, 512.0, 322.0, 322.0]) / 1800
-_WEIGHTS += np.array([-13.0, 13.0, 0.0, 13.0, -13.0]) * math.sqrt(70.0) / 1800
 
 
 def quantum_jump_estimate(
@@ -262,10 +252,16 @@ def quantum_jump_estimate(
     ``burn_fraction`` of the horizon.  By the renewal structure (Breuer & Petruccione, The Theory
     of Open Quantum Systems, OUP 2002, ch. 6) a stretch from level k contributes
     F_k(tau_b) - F_k(tau_a), F_k(tau) = int_0^tau P(E(s) e_k) ds, between its part's ends in the
-    window; F_k is tabulated once per restart level by Gauss-Legendre quadrature and completed by
-    a short quadrature from the last tabulated point.  Each round moves every live trajectory one
-    jump ahead and adds its stretch, vectorized, so the cost scales with the jumps.  Each entry's
-    standard error is taken across the per-trajectory averages.
+    window.  F_k has a closed form.  Level k lies in one driven pair of an excited level e and a
+    ground level l, where a = -i H_eff holds a[e, l] = a[l, e] = i c and a[e, e] = -G; up to a
+    constant phase E(tau) e_k = |psi| (cos t e_l + i sin t e_e), with t' = c - G sin t cos t and
+    d ln S_k / dtau = -2 G sin^2 t.  So F_ee = -ln S_k / (2 G), F_ll = tau - F_ee and F_el =
+    -F_le = i (c tau - (t(tau) - t(0))) / G, where t is read from the state by atan2 and unwound
+    to within pi of t(0) + w tau, w = sign(c) sqrt(max(c^2 - G^2 / 4, 0)): the no-jump map
+    preserves orientation, so t never strays further.  An undriven level stays put, F_k = tau
+    e_k e_k^T; a restart level in any other structure raises ValueError.  Each round moves every
+    live trajectory one jump ahead and adds its stretch, vectorized, so the cost scales with the
+    jumps.  Each entry's standard error is taken across the per-trajectory averages.
 
     Determinism: trajectory i draws only from its own substream of ``SeedSequence(seed)``,
     in a fixed order (the first threshold; per jump, the channel, then the next threshold),
@@ -306,7 +302,11 @@ def quantum_jump_estimate(
     def propagate(taus) -> np.ndarray:
         x = np.asarray(taus, dtype=float)[:, None] / 2.0**squarings
         # complex powers: the same product bit for bit, about twice as fast as mixed types
-        out = ((x ** np.arange(len(terms))).astype(complex) @ terms).reshape(-1, dim, dim)
+        powers = (x ** np.arange(len(terms))).astype(complex)
+        out = np.empty((len(x), dim * dim), dtype=complex)
+        for lo in range(0, len(x), 128):  # OpenBLAS threads larger blocks, at a loss here
+            np.matmul(powers[lo : lo + 128], terms, out=out[lo : lo + 128])
+        out = out.reshape(-1, dim, dim)
         for _ in range(squarings):
             out = out @ out
         return out
@@ -318,70 +318,42 @@ def quantum_jump_estimate(
     power, filled = propagate([dt])[0], 1
     while filled < table.shape[1]:
         n = min(filled, table.shape[1] - filled)
-        table[:, filled : filled + n] = table[:, :n] @ power.T
+        table[:, filled : filled + n] = np.einsum("lmj,ij->lmi", table[:, :n], power)
         power, filled = power @ power, filled + n
     neg_survival = -np.einsum("lmi,lmi->lm", table, table.conj()).real
 
-    # composite Gauss-Legendre rule on [0, 1]: 2^squarings equal pieces, _NODES nodes each
-    pieces = 2**squarings
-    step_nodes = ((np.arange(pieces)[:, None] + _NODES) / pieces).ravel()
-    step_weights = np.tile(_WEIGHTS / pieces, pieces)
-    # v @ whole_step holds E(dt y_i) v at the nodes y_i of one grid step, i-major
-    whole_step = propagate(dt * step_nodes).transpose(2, 0, 1).reshape(dim, -1)
-    # h^k @ piece_terms = E(h c) for c = the nodes and 1, h <= dt / pieces: the Taylor terms
-    # c^k a^k / k! up to a truncation below 2^-60, as interleaved real and imaginary parts
-    theta = norm_dt / pieces
-    short = next(n for n in range(1, 20) if theta**n / math.factorial(n) < 2.0**-60)
-    coefficients = np.append(_NODES, 1.0) ** np.arange(short)[:, None]
-    piece_terms = (coefficients[:, :, None] * terms[:short, None]).reshape(short, -1).view(float)
-    stride = max(1, _STRIDE // pieces)
-    # rows of about 2^11 node states keep every matrix product small enough that OpenBLAS runs
-    # it on one thread: waking its threads costs more than they save on products this size
-    chunk = max(1, 2**11 // (stride * len(step_nodes)))
+    # per restart row: the excited and ground level of the driven pair that holds k, its
+    # coupling c = a[e, l] / i and half decay rate G = -a[e, e]; an undriven row has e = l = k
+    # and G = inf, which zeroes F_ee and F_el and so leaves F_k = tau e_k e_k^T
+    def linked(k):
+        return [j for j in np.flatnonzero(a[k]) if j != k]
 
-    def projector_sum(psi, weights) -> np.ndarray:
-        """sum_n weights[r, n] P(psi[r, n]), P(psi) = psi psi^dag / |psi|^2, as the real
-        matrix Re + Im: a Hermitian M is (R + R^T)/2 + i (R - R^T)/2 of R = Re M + Im M."""
-        norm = np.sqrt(np.einsum("rnx,rnx->rn", psi.view(float), psi.view(float)))
-        # S_k underflows to 0 only far past any drawn threshold, where no stretch reaches
-        scale = np.divide(np.sqrt(weights), norm, out=np.zeros_like(norm), where=norm > 0)
-        phi = psi * scale[..., None]
-        gram = np.swapaxes(phi, 1, 2) @ phi.conj()
-        return gram.real + gram.imag
-
-    # cumulative[l, b] = F_k(b stride dt) for restart row l: block sums of whole steps
-    blocks = n_steps // stride
-    cumulative = np.zeros((len(restart), blocks + 1, dim, dim))
-    for level in range(len(restart)):
-        for lo in range(0, blocks * stride, chunk * stride):
-            hi = min(lo + chunk * stride, blocks * stride)
-            psi = (table[level, lo:hi] @ whole_step).reshape((hi - lo) // stride, -1, dim)
-            weights = np.broadcast_to(np.tile(dt * step_weights, stride), psi.shape[:2])
-            cumulative[level, lo // stride + 1 : hi // stride + 1] = projector_sum(psi, weights)
-        np.cumsum(cumulative[level], axis=0, out=cumulative[level])
+    excited, ground = restart.copy(), restart.copy()
+    for row, k in enumerate(restart):
+        if linked(k):
+            e, l = (k, linked(k)[0]) if k in scheme.excited_levels else (linked(k)[0], k)
+            if linked(e) != [l] or linked(l) != [e] or a[e, e] == 0:
+                raise ValueError(f"level {k} is not in exactly one driven excited-ground pair")
+            excited[row], ground[row] = e, l
+    coupling = a[excited, ground].imag
+    half_decay = np.where(excited != ground, -a[excited, excited].real, np.inf)
+    rotation = np.sign(coupling) * np.sqrt(np.maximum(coupling**2 - half_decay**2 / 4, 0.0))
 
     def integrated(lev, m, frac) -> np.ndarray:
-        """F_k(m dt + frac) for 0 <= frac <= dt: the tabulated value at base = the last
-        multiple of stride, the whole steps base .. m - 1, and the fraction of step m."""
-        out = cumulative[lev, m // stride]
-        after = np.arange(stride - 1)  # whole steps base + after, weighted where after < m - base
-        for lo in range(0, len(m), chunk):
-            k, j, f = lev[lo : lo + chunk], m[lo : lo + chunk, None], frac[lo : lo + chunk]
-            cols = np.minimum(j - j % stride + after, n_steps)
-            psi = (table[k[:, None], cols].reshape(-1, dim) @ whole_step).reshape(len(j), -1, dim)
-            weights = (dt * (after < j % stride))[:, :, None] * step_weights
-            # the fraction: E(h x_i) for h = f / pieces, and the piece starts E(j h) by doubling
-            h = f / pieces
-            inner = (h[:, None] ** np.arange(short) @ piece_terms).view(complex)
-            inner = inner.reshape(len(j), len(_NODES) + 1, dim, dim)
-            power, starts = np.swapaxes(inner[:, -1], 1, 2), table[k[:, None], j]
-            for _ in range(squarings):
-                starts = np.concatenate([starts, starts @ power], axis=1)
-                power = power @ power
-            inner = inner[:, :-1].transpose(0, 3, 1, 2).reshape(len(j), dim, -1)
-            psi = np.concatenate([psi, (starts @ inner).reshape(len(j), -1, dim)], axis=1)
-            weights = np.concatenate([weights.reshape(len(j), -1), f[:, None] * step_weights], 1)
-            out[lo : lo + chunk] += projector_sum(psi, weights)
+        """F_k(m dt + frac) for 0 <= frac <= dt, in closed form from the no-jump state there."""
+        tau = m * dt + frac
+        psi = np.einsum("bij,bj->bi", propagate(frac), table[lev, m])
+        rows, e, l = np.arange(len(lev)), excited[lev], ground[lev]
+        # psi_l + psi_e = |psi| exp(i (t(tau) - t(0))), whether k = l (t(0) = 0) or k = e
+        turn = np.angle(psi[rows, l] + psi[rows, e])
+        turn += 2 * np.pi * np.round((rotation[lev] * tau - turn) / (2 * np.pi))
+        f_ee = -np.log(np.einsum("bi,bi->b", psi, psi.conj()).real) / (2 * half_decay[lev])
+        f_el = 1j * (coupling[lev] * tau - turn) / half_decay[lev]
+        out = np.zeros((len(lev), dim, dim), dtype=complex)
+        out[rows, e, e] = f_ee
+        out[rows, l, l] += tau - f_ee
+        out[rows, e, l] += f_el
+        out[rows, l, e] -= f_el
         return out
 
     def decay(psi):  # rate_c |psi_upper_c|^2: the channel weights, summing to -dS/dtau
@@ -421,7 +393,7 @@ def quantum_jump_estimate(
     r0 = np.zeros(n_traj)
     thresholds = np.array([rng.random() for rng in rngs])
     live = np.arange(n_traj)
-    acc = np.zeros((n_traj, dim, dim))  # Re + Im of each trajectory's integral
+    acc = np.zeros((n_traj, dim, dim), dtype=complex)  # each trajectory's integral
     n_jumps = 0
     while live.size:
         lev, first, off, thresh = row[live], start[live], r0[live], thresholds[live]
@@ -468,9 +440,7 @@ def quantum_jump_estimate(
         n_jumps += traj.size
         live = traj
 
-    # back from Re + Im to each trajectory's Hermitian time average
-    transposed = np.swapaxes(acc, 1, 2)
-    per_traj = (acc + transposed + 1j * (acc - transposed)) / (2 * n_samples * dt)
+    per_traj = acc / (n_samples * dt)
     rho = per_traj.mean(axis=0)
     if n_traj > 1:
         stderr = per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj)

@@ -439,9 +439,14 @@ def _monte_carlo_group(config: RunConfig) -> Group:
 
 
 def run_validation(config: RunConfig) -> ValidationReport:
-    """Run every invariant group."""
+    """Run every invariant group.
+
+    The groups run at d = lambda/2 with the drive along +y, the geometry whose 360-point scans
+    hold the fringe extrema their tolerances assume; from the config they read only the seed,
+    the rates, ``n_traj`` and ``t_total``.
+    """
     rng = np.random.default_rng(config.seed)
-    geometry = standard_geometry(config.separation_wavelengths, config.drive_direction)
+    geometry = standard_geometry(0.5)
     groups = [
         _steady_state_group(rng),
         _trace_group(),

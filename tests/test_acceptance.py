@@ -109,6 +109,12 @@ def test_validate_never_reaches_the_operator_route(monkeypatch):
     assert run_validation(RunConfig(n_traj=60, t_total=20)).passed
 
 
+def test_validate_passes_whatever_the_config_geometry():
+    # the groups run at the geometry their fringe grids assume, not at the config's
+    config = RunConfig(separation_wavelengths=0.8, drive_direction=(0.3, 0.5, 0.2), n_traj=60, t_total=20)
+    assert run_validation(config).passed
+
+
 def test_criterion_08_nonclassicality_witness():
     accept(8, _witness_group(GEOMETRY))
 

@@ -10,6 +10,8 @@ from scipy.special import roots_legendre
 from atompair import (
     DegenerateSteadyStateError,
     DriveDecayParams,
+    LevelScheme,
+    Transition,
     build_liouvillian,
     hg_level_scheme,
     liouvillian_residual,
@@ -20,6 +22,7 @@ from atompair import (
     two_level_scheme,
     two_level_steady_state_analytic,
 )
+from atompair.atom_model import Z_HAT
 from atompair.dynamics import _DRAW_BLOCK, drive_hamiltonian, unvectorize, vectorize
 from atompair.validation import _rejected_steady_state
 
@@ -256,7 +259,7 @@ class TestQuantumJump:
 
     def test_horizon_past_survival_underflow(self, scheme, params):
         # at 800/Gamma the tabulated no-jump states underflow to zero norm, far past any drawn
-        # threshold; the time average must give them no weight instead of dividing by zero
+        # threshold; no stretch reaches them, so the time average never reads their norm
         res = quantum_jump_estimate(scheme, params, n_traj=2, t_total=800.0, seed=3)
         check_density_matrix(res.rho)
 
@@ -267,6 +270,20 @@ class TestQuantumJump:
         exact = two_level_steady_state_analytic(p)
         assert abs(res.rho[0, 0].real - exact[0, 0].real) <= 3.0 * res.stderr[0, 0]
         assert abs(res.rho[0, 1] - exact[0, 1]) <= 4.0 * res.stderr[0, 1]
+
+    def test_rejects_ground_level_driven_to_two_excited_levels(self):
+        # the closed-form time average needs each restart level in one driven excited-ground pair
+        p = DriveDecayParams(g=1.0, gamma0=0.5, gamma=0.5)
+        scheme = LevelScheme(
+            n_levels=3,
+            transitions=(
+                Transition(upper=0, lower=1, dipole=Z_HAT, decay_rate=1.0, driven=True),
+                Transition(upper=2, lower=1, dipole=Z_HAT, decay_rate=1.0, driven=True),
+            ),
+            excited_levels=frozenset({0, 2}),
+        )
+        with pytest.raises(ValueError, match="driven excited-ground pair"):
+            quantum_jump_estimate(scheme, p, n_traj=2, t_total=5.0, seed=1)
 
 
 def reference_jump_sampler(scheme, params, n_traj, t_total, seed, burn_fraction, initial_level):
@@ -346,6 +363,12 @@ class TestQuantumJumpReference:
         "draw_refill": (3.0, 0.5, 0.5, False, {"t_total": 40.0}),
         # long stretches: the burn-in cut falls deep inside one that began with a jump
         "burn_in_inside_stretch": (0.3, 0.5, 0.5, False, {"burn_fraction": 0.5}),
+        # no partner: the state stays the basis state it started in
+        "undriven": (0.0, 0.5, 0.5, False, {}),
+        # overdamped, and the pair with coupling -g: the phase of the state turns back
+        "excited_start_second_pair": (0.3, 0.5, 0.5, False, {"initial_level": 2}),
+        # the first stretch starts in the window, so F_k(0) = 0 must hold from an excited level
+        "excited_start_no_burn_in": (1.0, 0.3, 0.7, False, {"initial_level": 0, "burn_fraction": 0.0}),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -360,7 +383,7 @@ class TestQuantumJumpReference:
         assert np.max(np.abs(res.rho - rho)) <= 1e-9
         assert np.max(np.abs(res.stderr - stderr)) <= 1e-9
         assert res.n_jumps == sum(jumps)
-        assert (res.n_jumps == 0) == (case == "no_jumps")
+        assert (res.n_jumps == 0) == (case in ("no_jumps", "undriven"))
         if case == "draw_refill":
             assert max(jumps) > _DRAW_BLOCK
         if case == "burn_in_inside_stretch":

@@ -30,7 +30,13 @@ The unique steady state for g > 0 is
 with all cross coherences (rho13, rho14, rho23, rho24) equal to zero.
 
 Superoperators act on column-major (Fortran-order) vectorized density
-matrices: vec(A rho B) = kron(B.T, A) vec(rho).
+matrices: vec(A rho B) = kron(B.T, A) vec(rho).  With the no-jump generator
+a = -i H_eff, H_eff = H - (i/2) sum_c rate_c |u_c><u_c|, the Liouvillian is
+
+    L = 1 (x) a + conj(a) (x) 1 + sum_c rate_c |l_c l_c><u_c u_c|
+
+summed over the decay channels c = u_c -> l_c, where |k k> = vec(|k><k|).
+The quantum-jump estimate propagates with the same a.
 """
 
 from __future__ import annotations
@@ -48,8 +54,6 @@ __all__ = [
     "unvectorize",
     "pure_state",
     "drive_hamiltonian",
-    "jump_operators",
-    "liouvillian_matrix",
     "build_liouvillian",
     "liouvillian_residual",
     "steady_state_numeric",
@@ -61,7 +65,8 @@ __all__ = [
 
 
 class DegenerateSteadyStateError(ValueError):
-    """The Liouvillian null space has dimension > 1 (no unique steady state)."""
+    """The Liouvillian null space has dimension > 1 (no unique steady state): at g = 0, or
+    when no decay links the two driven pi pairs (the four-level scheme at gamma = 0)."""
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -109,34 +114,28 @@ def drive_hamiltonian(scheme: LevelScheme, params: DriveDecayParams) -> np.ndarr
     return h
 
 
-def jump_operators(scheme: LevelScheme) -> list[np.ndarray]:
-    """One lowering operator sqrt(rate) |lower><upper| per decay channel."""
-    dim = scheme.n_levels
-    ops = []
-    for t in scheme.transitions:
-        op = np.zeros((dim, dim), dtype=complex)
-        op[t.lower, t.upper] = math.sqrt(t.decay_rate)
-        ops.append(op)
-    return ops
-
-
-def liouvillian_matrix(hamiltonian: np.ndarray, jumps) -> np.ndarray:
-    """Lindblad superoperator on column-major vectorized density matrices."""
-    h = np.asarray(hamiltonian, dtype=complex)
-    dim = h.shape[0]
-    eye = np.eye(dim)
-    liou = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for op in jumps:
-        op = np.asarray(op, dtype=complex)
-        opdop = op.conj().T @ op
-        liou += np.kron(op.conj(), op)
-        liou -= 0.5 * (np.kron(eye, opdop) + np.kron(opdop.T, eye))
-    return liou
+def _generator(scheme: LevelScheme, params: DriveDecayParams):
+    """No-jump generator a = -i H_eff, H_eff = H - (i/2) sum_c rate_c |u_c><u_c|, and the
+    upper levels, lower levels and rates of the decay channels c."""
+    uppers = np.array([t.upper for t in scheme.transitions])
+    lowers = np.array([t.lower for t in scheme.transitions])
+    rates = np.array([t.decay_rate for t in scheme.transitions])
+    a = -1j * drive_hamiltonian(scheme, params).astype(complex)  # -i H_eff
+    np.add.at(a, (uppers, uppers), -0.5 * rates)
+    return a, uppers, lowers, rates
 
 
 def build_liouvillian(scheme: LevelScheme, params: DriveDecayParams) -> np.ndarray:
-    """Superoperator generating d(vec rho)/dt for one atom of the scheme."""
-    return liouvillian_matrix(drive_hamiltonian(scheme, params), jump_operators(scheme))
+    """Superoperator generating d(vec rho)/dt for one atom of the scheme: L = 1 (x) a +
+    conj(a) (x) 1 + sum_c rate_c |l_c l_c><u_c u_c|, with a = -i H_eff from ``_generator``
+    and |k k> = vec(|k><k|) at index k (d + 1)."""
+    a, uppers, lowers, rates = _generator(scheme, params)
+    dim = a.shape[0]
+    eye = np.eye(dim)
+    liou = eye[:, None, :, None] * a[None, :, None, :] + a.conj()[:, None, :, None] * eye[None, :, None, :]
+    liou = liou.reshape(dim * dim, dim * dim)
+    np.add.at(liou, (lowers * (dim + 1), uppers * (dim + 1)), rates)
+    return liou
 
 
 def liouvillian_residual(liouvillian: np.ndarray, rho: np.ndarray) -> float:
@@ -148,9 +147,8 @@ def steady_state_numeric(liouvillian: np.ndarray) -> np.ndarray:
     """Steady state as the (unique) null vector of the Liouvillian.
 
     Uses a dense SVD; the returned matrix is Hermitized and trace
-    normalized.  Raises :class:`DegenerateSteadyStateError` when the null
-    space has dimension > 1, which happens for g = 0 where any population
-    split of the ground manifold (and its internal coherence) is stationary.
+    normalized.  Raises :class:`DegenerateSteadyStateError`, naming the null-space
+    dimension, when it is > 1: at g = 0, or with no decay linking the driven pairs.
     """
     liou = np.asarray(liouvillian, dtype=complex)
     dim = int(round(math.sqrt(liou.shape[0])))
@@ -162,7 +160,8 @@ def steady_state_numeric(liouvillian: np.ndarray) -> np.ndarray:
         n_null = int(np.sum(svals < 1e-10 * scale))
         raise DegenerateSteadyStateError(
             f"steady state is not unique: Liouvillian null space has dimension {n_null} "
-            "(undriven ground-manifold populations are all stationary at g = 0)"
+            "(either g = 0, which leaves every ground-manifold population stationary, or no "
+            "decay links the driven pairs, so each pair keeps its own population)"
         )
     candidate = unvectorize(vh[-1].conj(), dim)
     trace = candidate.trace()
@@ -285,11 +284,7 @@ def quantum_jump_estimate(
         raise ValueError("no samples collected; decrease burn_fraction or increase t_total")
     burn = n_steps - n_samples  # t_burn = burn dt
 
-    uppers = np.array([t.upper for t in scheme.transitions])
-    lowers = np.array([t.lower for t in scheme.transitions])
-    rates = np.array([t.decay_rate for t in scheme.transitions])
-    a = -1j * drive_hamiltonian(scheme, params).astype(complex)  # -i H_eff
-    np.add.at(a, (uppers, uppers), -0.5 * rates)
+    a, uppers, lowers, rates = _generator(scheme, params)
     # propagate(taus)[i] = expm(a taus[i]) for 0 <= taus <= dt: degree-18 Taylor series of
     # expm(a tau / 2^s) with ||a dt / 2^s||_1 <= 1/2 (truncation below 1e-22), squared s times
     norm_dt = dt * np.abs(a).sum(axis=0).max()

@@ -1,21 +1,18 @@
 """Reference routines that only the tests use.
 
 The package computes steady states and the equal-time pair quantities; the
-routines here propagate states in time, check them, build the generator of
-the pair and evaluate the coincidence rate one detector pair at a time, so
-that the tests can compare the package against them.
+routines here propagate states in time, check them, build the generators of
+one atom and of the pair by np.kron and evaluate the coincidence rate one
+detector pair at a time, so that the tests can compare the package against
+them.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
 
-from atompair.dynamics import (
-    drive_hamiltonian,
-    jump_operators,
-    liouvillian_matrix,
-    unvectorize,
-    vectorize,
-)
+from atompair.dynamics import drive_hamiltonian, unvectorize, vectorize
 from atompair.farfield import geometric_phase, lowering_coefficients
 
 
@@ -42,6 +39,31 @@ def check_density_matrix(rho) -> np.ndarray:
     if not min_eig >= -1e-9:
         raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
     return rho
+
+
+def jump_operators(scheme) -> list[np.ndarray]:
+    """One lowering operator sqrt(rate) |lower><upper| per decay channel."""
+    dim = scheme.n_levels
+    ops = []
+    for t in scheme.transitions:
+        op = np.zeros((dim, dim), dtype=complex)
+        op[t.lower, t.upper] = math.sqrt(t.decay_rate)
+        ops.append(op)
+    return ops
+
+
+def liouvillian_matrix(hamiltonian: np.ndarray, jumps) -> np.ndarray:
+    """Lindblad superoperator on column-major vectorized density matrices, built by np.kron."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    dim = h.shape[0]
+    eye = np.eye(dim)
+    liou = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for op in jumps:
+        op = np.asarray(op, dtype=complex)
+        opdop = op.conj().T @ op
+        liou += np.kron(op.conj(), op)
+        liou -= 0.5 * (np.kron(eye, opdop) + np.kron(opdop.T, eye))
+    return liou
 
 
 def product_liouvillian(scheme, params) -> np.ndarray:

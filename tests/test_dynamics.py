@@ -27,7 +27,7 @@ from atompair.dynamics import _DRAW_BLOCK, drive_hamiltonian, unvectorize, vecto
 from atompair.validation import _rejected_steady_state
 
 from conftest import random_params
-from reference import check_density_matrix, propagate
+from reference import check_density_matrix, jump_operators, liouvillian_matrix, propagate
 
 
 def reference_rhs(rho, g, gamma0, gamma):
@@ -66,15 +66,33 @@ class TestPureState:
 
 
 class TestLiouvillian:
-    def test_matches_reference_equations(self, scheme, params):
-        liou = build_liouvillian(scheme, params)
+    def test_matches_reference_equations(self, params):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho = m + m.conj().T
-            expected = reference_rhs(rho, params.g, params.gamma0, params.gamma)
-            got = unvectorize(liou @ vectorize(rho), 4)
-            assert_allclose(got, expected, atol=1e-13)
+        for p in [params] + [random_params(rng) for _ in range(20)]:
+            liou = build_liouvillian(hg_level_scheme(p), p)
+            for _ in range(10):
+                m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                rho = m + m.conj().T
+                expected = reference_rhs(rho, p.g, p.gamma0, p.gamma)
+                got = unvectorize(liou @ vectorize(rho), 4)
+                assert_allclose(got, expected, atol=1e-13)
+
+    def test_matches_kronecker_reference(self):
+        # the same generator assembled term by term from H and the jump operators by np.kron
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p = random_params(rng)
+            for scheme in (hg_level_scheme(p), two_level_scheme(p.total)):
+                liou = build_liouvillian(scheme, p)
+                kron = liouvillian_matrix(drive_hamiltonian(scheme, p), jump_operators(scheme))
+                assert np.max(np.abs(liou - kron)) <= 1e-15 * np.max(np.abs(liou))
+
+    def test_recycling_carries_the_exact_rate(self):
+        # rate_c enters as itself, the rate the Monte Carlo draws channels with, not as
+        # sqrt(rate_c)^2 (2.0000000000000004 for rate 2)
+        p = DriveDecayParams(g=0.7, gamma0=0.0, gamma=1.0)
+        liou = build_liouvillian(two_level_scheme(p.total), p)
+        assert liou[1 + 2 * 1, 0 + 2 * 0] == 2.0 * p.total
 
     def test_population_decay_coefficient(self, scheme, params):
         # coefficient of rho11 in d rho11/dt is -2(gamma0 + gamma)
@@ -159,6 +177,14 @@ class TestSteadyState:
         p = DriveDecayParams(g=0.0, gamma0=0.5, gamma=0.5)
         with pytest.raises(DegenerateSteadyStateError, match="not unique"):
             steady_state_numeric(build_liouvillian(hg_level_scheme(p), p))
+
+    def test_degenerate_without_sigma_decay(self):
+        # driven, but with no sigma decay the two pi pairs never exchange population
+        p = DriveDecayParams(g=1.0, gamma0=1.0, gamma=0.0)
+        with pytest.raises(DegenerateSteadyStateError, match="not unique") as info:
+            steady_state_numeric(build_liouvillian(hg_level_scheme(p), p))
+        assert "dimension 2" in str(info.value)
+        assert "no decay links the driven pairs" in str(info.value)
 
     def test_analytic_rejects_zero_drive(self):
         with pytest.raises(ValueError):

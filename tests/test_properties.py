@@ -9,6 +9,9 @@ closed forms carry no state at all.
 g/Gamma is drawn from [1e-2, 1e2]: below that the null-space steady state loses
 digits to the slow optical pumping and the depth errs by up to 2.2e-9 at
 g/Gamma in [1e-4, 1e-3).
+
+The single-atom Liouvillian carries no such loss, so its property test draws
+g/Gamma from [1e-8, 1e2] and either decay half-rate from [0, 2], on both schemes.
 """
 
 import numpy as np
@@ -24,8 +27,12 @@ from atompair import (
     modulation_depth,
     standard_geometry,
     steady_state_numeric,
+    two_level_scheme,
 )
+from atompair.dynamics import drive_hamiltonian, vectorize
 from atompair.scans import g2_scan, intensity_scan, reference_direction, resolve_polarization
+
+from reference import jump_operators, liouvillian_matrix
 
 GEOMETRY = standard_geometry(0.5)
 N_REF = reference_direction("xy")
@@ -54,3 +61,17 @@ def test_coincidence_contrast_is_drive_free_and_intensity_contrast_fades(
     assert abs(depth - modulation_depth(Detector(N_REF, eps_1), Detector(N_REF, eps_2))) < 1e-12
     visibility = intensity_scan(scheme, GEOMETRY, EPS_PI, rho).visibility
     assert abs(visibility - intensity_visibility(params, EPS_PI)) < 1e-12
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(log_drive=st.floats(-8.0, 2.0), gamma0=st.floats(0.0, 2.0), gamma=st.floats(0.0, 2.0))
+def test_liouvillian_matches_kronecker_reference_and_preserves_trace(log_drive, gamma0, gamma):
+    # a positive total; below 1e-300 the bound 1e-15 max|L| would fall under L's own rounding
+    assume(gamma0 + gamma >= 1e-300)
+    params = DriveDecayParams(g=(gamma0 + gamma) * 10.0**log_drive, gamma0=gamma0, gamma=gamma)
+    for scheme in (hg_level_scheme(params), two_level_scheme(params.total)):
+        liou = build_liouvillian(scheme, params)
+        scale = np.max(np.abs(liou))
+        kron = liouvillian_matrix(drive_hamiltonian(scheme, params), jump_operators(scheme))
+        assert np.max(np.abs(liou - kron)) <= 1e-15 * scale
+        assert np.linalg.norm(vectorize(np.eye(scheme.n_levels)) @ liou) <= 1e-15 * scale

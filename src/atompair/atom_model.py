@@ -15,6 +15,7 @@ All static physical data lives here.  Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +52,8 @@ Z_HAT = np.array([0.0, 0.0, 1.0])
 SIGMA_MINUS = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
 
 _UNIT_TOL = 1e-12
+#: largest |eps^dag . n| of a physical (transverse) analyzer
+_TRANSVERSE_TOL = 1e-9
 
 
 def _as_cvec(v) -> np.ndarray:
@@ -103,6 +106,16 @@ class LevelScheme:
     @property
     def ground_levels(self) -> frozenset[int]:
         return frozenset(range(self.n_levels)) - self.excited_levels
+
+    @functools.cached_property
+    def dipole_matrix(self) -> np.ndarray:
+        """Lowering part of the dipole operator, d[:, lower, upper] summed over the decay
+        channels; read-only, shape (3, n_levels, n_levels)."""
+        dipoles = np.zeros((3, self.n_levels, self.n_levels), dtype=complex)
+        for t in self.transitions:
+            dipoles[:, t.lower, t.upper] += t.dipole
+        dipoles.setflags(write=False)
+        return dipoles
 
 
 @dataclass(frozen=True)
@@ -185,7 +198,7 @@ class Detector:
 def make_detector(n, epsilon) -> Detector:
     """Build a detector and enforce transversality eps^dag . n = 0."""
     det = Detector(n, epsilon)
-    if det.transversality_defect() > 1e-9:
+    if det.transversality_defect() > _TRANSVERSE_TOL:
         raise ValueError(
             f"polarization is not transverse to n (|eps^dag.n| = {det.transversality_defect():.3e})"
         )

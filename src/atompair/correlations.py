@@ -62,10 +62,12 @@ _WITNESS_MARGIN = 1e-12
 
 
 def _traces(scheme: LevelScheme, rho, *epsilons) -> tuple[np.ndarray, np.ndarray]:
-    """Single-atom traces a[i, j] = tr(rho c_i^dag c_j) and m[i] = tr(rho c_i)."""
-    c = np.stack([lowering_coefficients(scheme, eps) for eps in epsilons])
+    """Single-atom traces a[..., i, j] = tr(rho c_i^dag c_j) and m[..., i] = tr(rho c_i) of
+    analyzers that are each one vector (shape (3,)) or one per row (shape (N, 3))."""
+    c = np.stack([lowering_coefficients(scheme, eps) for eps in epsilons], axis=-3)
     rho = np.asarray(rho, dtype=complex)
-    return np.einsum("xy,iky,jkx->ij", rho, c.conj(), c), np.einsum("xy,iyx->i", rho, c)
+    a = np.einsum("xy,...iky,...jkx->...ij", rho, c.conj(), c)
+    return a, np.einsum("xy,...iyx->...i", rho, c)
 
 
 def _fringe_phase(geometry: Geometry, n, n_ref=None):
@@ -82,35 +84,46 @@ def _intensity(a_ii, m_i, psi):
 def _correlations(a, m, phi_12, psi_1, psi_2):
     """(G2, Gamma2, g2(1,2), witness) of a detector pair from its traces and phases.
 
-    Phases may be scalars or arrays.  Raises ValueError when a detector sees
-    no light, where the normalized quantities are undefined.
+    Traces and phases may be those of one pair or stacked over pairs or scan points.
+    Raises ValueError when a detector sees no light, where the normalized quantities
+    are undefined.
     """
-    i_1 = _intensity(a[0, 0], m[0], psi_1)
-    i_2 = _intensity(a[1, 1], m[1], psi_2)
+    # transposed, the detector indices come first: one pair unpacks to scalars, a stack to arrays
+    (a_11, _), (a_12, a_22) = a.T
+    m_1, m_2 = m.T
+    i_1 = _intensity(a_11, m_1, psi_1)
+    i_2 = _intensity(a_22, m_2, psi_2)
     if np.any(i_1 <= 0) or np.any(i_2 <= 0):
         raise ValueError(
             f"zero intensity at a detector (I1 = {np.min(i_1):.3e}, I2 = {np.min(i_2):.3e})"
         )
-    baseline = 2.0 * (a[0, 0] * a[1, 1]).real
-    cross = 2.0 * abs(a[0, 1]) ** 2 * np.cos(phi_12)
+    baseline = 2.0 * (a_11 * a_22).real
+    cross = 2.0 * abs(a_12) ** 2 * np.cos(phi_12)
     g2 = baseline + cross
     g2_12 = g2 / (i_1 * i_2)
     # coincident detectors have phi = 0, so G2(i,i) = 4 a_ii^2
     witness = witness_from_g2(
-        4.0 * a[0, 0].real ** 2 / (i_1 * i_1), 4.0 * a[1, 1].real ** 2 / (i_2 * i_2), g2_12
+        4.0 * a_11.real**2 / (i_1 * i_1), 4.0 * a_22.real**2 / (i_2 * i_2), g2_12
     )
     return g2, cross / baseline, g2_12, witness
 
 
-def _point(scheme, geometry, det_1: Detector, det_2: Detector, rho):
-    a, m = _traces(scheme, rho, det_1.epsilon, det_2.epsilon)
+def _pair_correlations(scheme, geometry, n_1, epsilon_1, n_2, epsilon_2, rho):
+    """:func:`_correlations` of the detector pair (n_1, epsilon_1), (n_2, epsilon_2): one pair
+    of (3,) vectors, or one pair per row of (N, 3) arrays."""
+    a, m = _traces(scheme, rho, epsilon_1, epsilon_2)
     return _correlations(
         a,
         m,
-        _fringe_phase(geometry, det_1.n, det_2.n),
-        _fringe_phase(geometry, det_1.n),
-        _fringe_phase(geometry, det_2.n),
+        _fringe_phase(geometry, n_1, n_2),
+        _fringe_phase(geometry, n_1),
+        _fringe_phase(geometry, n_2),
     )
+
+
+def _point(scheme, geometry, det_1: Detector, det_2: Detector, rho):
+    """:func:`_pair_correlations` of one detector pair."""
+    return _pair_correlations(scheme, geometry, det_1.n, det_1.epsilon, det_2.n, det_2.epsilon, rho)
 
 
 def g2_factorized(
@@ -174,11 +187,21 @@ def g2_normalized_closed_form(
     in its intensity factor D(i).  Equals the defining ratio of
     :func:`g2_normalized`.
     """
-    d_1, d_2 = (
-        1.0 + intensity_visibility(params, det.epsilon) * math.cos(_fringe_phase(geometry, det.n))
-        for det in (det_1, det_2)
-    )
-    return (1.0 + gamma2(geometry, det_1, det_2)) / (2.0 * d_1 * d_2)
+    return float(_g2_normalized_closed_form(geometry, params, det_1, det_2.epsilon, det_2.n))
+
+
+def _g2_normalized_closed_form(
+    geometry: Geometry, params: DriveDecayParams, det_1: Detector, epsilon_2, directions_2
+):
+    """:func:`g2_normalized_closed_form` with the second analyzer epsilon_2 at one direction
+    (shape (3,)) or at every row of ``directions_2`` (shape (N, 3))."""
+    psi_1 = _fringe_phase(geometry, det_1.n)
+    psi_2 = _fringe_phase(geometry, directions_2)
+    d_1 = 1.0 + intensity_visibility(params, det_1.epsilon) * np.cos(psi_1)
+    d_2 = 1.0 + intensity_visibility(params, epsilon_2) * np.cos(psi_2)
+    overlap = abs(np.vdot(det_1.epsilon, epsilon_2)) ** 2
+    gamma_2 = overlap * np.cos(_fringe_phase(geometry, det_1.n, directions_2))
+    return (1.0 + gamma_2) / (2.0 * d_1 * d_2)
 
 
 @dataclass(frozen=True)

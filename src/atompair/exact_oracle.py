@@ -8,12 +8,15 @@ the pair field operator is
 
 with c the single-atom lowering-coefficient matrix of the detector, and
 observables are plain operator traces against an arbitrary 16x16 (or 4x4
-for two-level atoms) pair density matrix.  Coincidence rates are built for a
-stack of second-detector directions at once, a fixed block of directions at
-a time; one detector pair is the stack of one.  Agreement with the factorized
-formulas on product states is the central consistency theorem of the
-package; on entangled states the factorized formulas are wrong by design
-and the values computed here are the truth.
+for two-level atoms) pair density matrix.  The coincidence, conditioned-state
+and intensity kernels take stacks of detectors, one direction and analyzer
+per row for each detector, and work ``_BLOCK`` rows at a time: a scan's
+second-detector directions, or the random detector pairs of ``validate``,
+which passes its pairs one block per call.  One detector pair is the stack
+of one, so the public point functions run the same kernels.  Agreement with
+the factorized formulas on product states is the central consistency theorem
+of the package; on entangled states the factorized formulas are wrong by
+design and the values computed here are the truth.
 """
 
 from __future__ import annotations
@@ -33,29 +36,32 @@ __all__ = [
 ]
 
 
-#: second-detector directions per stacked coincidence evaluation; bounds the
-#: temporaries of a scan to a few (BLOCK, d^2, d^2) arrays whatever its length
+#: detector rows per stacked evaluation; bounds the temporaries of a scan or of a batch of
+#: detector pairs to a few (BLOCK, d^2, d^2) arrays whatever its length
 _BLOCK = 16
 
 
 def _pair_field_matrices(
     scheme: LevelScheme, geometry: Geometry, directions: np.ndarray, epsilon
 ) -> np.ndarray:
-    """E^(+)(n) = phase_A(n) kron(c, 1) + phase_B(n) kron(1, c) of one analyzer at every
-    row n of ``directions`` (shape (N, 3)); returns shape (N, d^2, d^2)."""
-    coeff = lowering_coefficients(scheme, epsilon)
-    d = scheme.n_levels
-    eye = np.eye(d)
-    kron_a = (coeff[:, None, :, None] * eye[None, :, None, :]).reshape(d * d, d * d)
-    kron_b = (eye[:, None, :, None] * coeff[None, :, None, :]).reshape(d * d, d * d)
+    """E^(+)(n) = phase_A(n) kron(c, 1) + phase_B(n) kron(1, c) at every row n of ``directions``
+    (shape (N, 3)), with one analyzer for every row (shape (3,)) or one analyzer per row
+    (shape (N, 3)); returns shape (N, d^2, d^2)."""
     phase_a = _geometric_phases(geometry, directions, geometry.r_a)[:, None, None]
     phase_b = _geometric_phases(geometry, directions, geometry.r_b)[:, None, None]
-    return phase_a * kron_a + phase_b * kron_b
+    coeff = lowering_coefficients(scheme, epsilon)
+    d = scheme.n_levels
+    e_plus = np.zeros((len(directions), d, d, d, d), dtype=complex)
+    # writeable diagonal views of kron(c, 1)[ij, kl] = c[i, k] delta_jl
+    # and kron(1, c)[ij, kl] = delta_ik c[j, l]
+    np.einsum("nijkj->nikj", e_plus)[...] = (phase_a * coeff)[..., None]
+    np.einsum("nijil->nijl", e_plus)[...] += (phase_b * coeff)[:, None]
+    return e_plus.reshape(len(directions), d * d, d * d)
 
 
 def pair_field_matrix(scheme: LevelScheme, geometry: Geometry, detector: Detector) -> np.ndarray:
     """Positive-frequency pair field operator E^(+) for one detector."""
-    return _pair_field_matrices(scheme, geometry, detector.n[None], detector.epsilon)[0]
+    return _pair_field_matrices(scheme, geometry, detector.n[None], detector.epsilon[None])[0]
 
 
 def _check_pair_state(scheme: LevelScheme, rho_ab) -> np.ndarray:
@@ -66,10 +72,24 @@ def _check_pair_state(scheme: LevelScheme, rho_ab) -> np.ndarray:
     return rho_ab
 
 
-def _real_trace(value: complex, label: str) -> float:
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ValueError(f"{label} should be real, got imaginary part {value.imag:.3e}")
-    return float(value.real)
+def _real_traces(values: np.ndarray, label: str) -> list[float]:
+    """Real parts of traces that must be real, each checked on its own scale."""
+    reals = []
+    for value in values.tolist():
+        if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+            raise ValueError(f"{label} should be real, got imaginary part {value.imag:.3e}")
+        reals.append(value.real)
+    return reals
+
+
+def _intensities_exact(
+    scheme: LevelScheme, geometry: Geometry, directions: np.ndarray, epsilon, rho_ab: np.ndarray
+) -> np.ndarray:
+    """tr(rho_AB E^(-) E^(+)) at every row of ``directions`` and ``epsilon`` (as in
+    :func:`_pair_field_matrices`), against one checked pair state or one per row."""
+    e_plus = _pair_field_matrices(scheme, geometry, directions, epsilon)
+    values = np.trace(rho_ab @ e_plus.conj().swapaxes(1, 2) @ e_plus, axis1=-2, axis2=-1)
+    return np.array(_real_traces(values, "intensity"))
 
 
 def intensity_exact(
@@ -77,8 +97,8 @@ def intensity_exact(
 ) -> float:
     """tr(rho_AB E^(-) E^(+)) without any factorization assumption."""
     rho_ab = _check_pair_state(scheme, rho_ab)
-    e_plus = pair_field_matrix(scheme, geometry, detector)
-    return _real_trace(complex(np.trace(rho_ab @ e_plus.conj().T @ e_plus)), "intensity")
+    rows = (detector.n[None], detector.epsilon[None])
+    return float(_intensities_exact(scheme, geometry, *rows, rho_ab)[0])
 
 
 def g2_exact(
@@ -95,31 +115,36 @@ def g2_exact(
     cross-atom two-photon amplitudes survive, which is where the fringes
     come from.
     """
-    return float(_g2_exact_stack(scheme, geometry, det_1, det_2.epsilon, det_2.n[None], rho_ab)[0])
+    rows = (det_1.n[None], det_1.epsilon[None], det_2.n[None], det_2.epsilon[None])
+    return float(_g2_exact_stack(scheme, geometry, *rows, rho_ab)[0])
 
 
 def _g2_exact_stack(
     scheme: LevelScheme,
     geometry: Geometry,
-    det_1: Detector,
-    epsilon_2,
-    directions_2: np.ndarray,
+    n_1: np.ndarray,
+    epsilon_1: np.ndarray,
+    n_2: np.ndarray,
+    epsilon_2: np.ndarray,
     rho_ab,
 ) -> np.ndarray:
-    """:func:`g2_exact` with det_1 fixed and the analyzer epsilon_2 at every row of
-    directions_2, evaluated ``_BLOCK`` directions at a time.
+    """:func:`g2_exact` of the detector pair in every row of n_1, epsilon_1 (first detector)
+    and n_2, epsilon_2 (second detector), evaluated ``_BLOCK`` rows at a time.
 
-    With M = E2^(+) E1^(+), the rate tr(rho_AB M^dag M) is the sum over both
-    indices of conj(M) * (M rho_AB); each value gets its own realness check.
+    Each argument has shape (N, 3), or (1, 3) for one vector shared by every row.  The
+    first detector's field operators are built once for all its rows, so it has one row
+    or at most ``_BLOCK``.  With M = E2^(+) E1^(+), the rate tr(rho_AB M^dag M) is the sum
+    over both indices of conj(M) * (M rho_AB); each value gets its own realness check.
     """
     rho_ab = _check_pair_state(scheme, rho_ab)
-    e_1 = pair_field_matrix(scheme, geometry, det_1)
+    e_1 = _pair_field_matrices(scheme, geometry, n_1, epsilon_1)
     rates = []
-    for start in range(0, len(directions_2), _BLOCK):
-        block = directions_2[start : start + _BLOCK]
-        m = _pair_field_matrices(scheme, geometry, block, epsilon_2) @ e_1
-        traces = np.sum(m.conj() * (m @ rho_ab), axis=(1, 2))
-        rates += [_real_trace(t, "coincidence rate") for t in traces.tolist()]
+    for start in range(0, max(len(e_1), len(n_2)), _BLOCK):
+        e_1_rows, n_2_rows, epsilon_2_rows = (
+            x if len(x) == 1 else x[start : start + _BLOCK] for x in (e_1, n_2, epsilon_2)
+        )
+        m = _pair_field_matrices(scheme, geometry, n_2_rows, epsilon_2_rows) @ e_1_rows
+        rates += _real_traces(np.sum(m.conj() * (m @ rho_ab), axis=(1, 2)), "coincidence rate")
     return np.array(rates)
 
 
@@ -133,6 +158,22 @@ class ConditionedState:
     normalized: np.ndarray
 
 
+def _conditioned_states(
+    scheme: LevelScheme, geometry: Geometry, n_1: np.ndarray, epsilon_1: np.ndarray, rho_ab
+) -> tuple[np.ndarray, np.ndarray]:
+    """E1^(+) rho_AB E1^(-) and its trace, the detection rate, for the first detector in every
+    row of the (N, 3) arrays n_1 and epsilon_1; shapes (N, d^2, d^2) and (N,)."""
+    rho_ab = _check_pair_state(scheme, rho_ab)
+    e_1 = _pair_field_matrices(scheme, geometry, n_1, epsilon_1)
+    sigma = e_1 @ rho_ab @ e_1.conj().swapaxes(1, 2)
+    rates = _real_traces(np.trace(sigma, axis1=1, axis2=2), "detection rate")
+    if min(rates) <= 0:
+        raise ValueError(
+            "zero detection rate: the analyzer is orthogonal to every radiating channel"
+        )
+    return sigma, np.array(rates)
+
+
 def conditioned_state(
     scheme: LevelScheme, geometry: Geometry, det_1: Detector, rho_ab
 ) -> ConditionedState:
@@ -142,12 +183,6 @@ def conditioned_state(
     conditioned expectation of that detector's intensity, which is how
     detecting the first photon entangles initially uncorrelated atoms.
     """
-    rho_ab = _check_pair_state(scheme, rho_ab)
-    e1 = pair_field_matrix(scheme, geometry, det_1)
-    sigma = e1 @ rho_ab @ e1.conj().T
-    rate = _real_trace(complex(np.trace(sigma)), "detection rate")
-    if rate <= 0:
-        raise ValueError(
-            "zero detection rate: the analyzer is orthogonal to every radiating channel"
-        )
-    return ConditionedState(unnormalized=sigma, rate=rate, normalized=sigma / rate)
+    sigma, rates = _conditioned_states(scheme, geometry, det_1.n[None], det_1.epsilon[None], rho_ab)
+    rate = float(rates[0])
+    return ConditionedState(unnormalized=sigma[0], rate=rate, normalized=sigma[0] / rate)

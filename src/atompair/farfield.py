@@ -43,12 +43,12 @@ __all__ = [
 
 
 def lowering_coefficients(scheme: LevelScheme, epsilon) -> np.ndarray:
-    """Matrix of analyzer-projected dipole elements, coeff[l, u] = eps^dag . d_{lu}."""
-    epsilon = np.asarray(epsilon, dtype=complex).reshape(3)
-    coeff = np.zeros((scheme.n_levels, scheme.n_levels), dtype=complex)
-    for t in scheme.transitions:
-        coeff[t.lower, t.upper] += np.vdot(epsilon, t.dipole)
-    return coeff
+    """Matrix of analyzer-projected dipole elements, coeff[..., l, u] = eps^dag . d_{lu}, of
+    one analyzer (shape (3,)) or of every row of a stack (shape (..., 3))."""
+    epsilon = np.asarray(epsilon, dtype=complex)
+    d = scheme.n_levels
+    coeff = epsilon.conj() @ scheme.dipole_matrix.reshape(3, d * d)
+    return coeff.reshape(epsilon.shape[:-1] + (d, d))
 
 
 def _geometric_phases(geometry: Geometry, directions, r) -> np.ndarray:

@@ -224,4 +224,5 @@ def g2_exact_scan(
     of :func:`g2_scan`: the independent route its factorized column is compared
     against, evaluated as stacks of pair field operators."""
     _, n_2, (det_1, det_2) = _scan_grid(plane, n_points, polarization_1, polarization_2)
-    return _g2_exact_stack(scheme, geometry, det_1, det_2.epsilon, n_2, np.kron(rho, rho))
+    rows = (det_1.n[None], det_1.epsilon[None], n_2, det_2.epsilon[None])
+    return _g2_exact_stack(scheme, geometry, *rows, np.kron(rho, rho))

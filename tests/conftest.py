@@ -13,8 +13,8 @@ from atompair import (
 
 # the same random draws as the validate suite: g log-uniform over
 # [0.01, 100] Gamma with random branching, and random transverse detectors
-from atompair.validation import _random_detector as random_transverse_detector  # noqa: F401
 from atompair.validation import _random_params as random_params  # noqa: F401
+from reference import random_transverse_detector  # noqa: F401
 
 
 def patch_aliases(monkeypatch, target, replacement):

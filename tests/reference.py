@@ -2,9 +2,9 @@
 
 The package computes steady states and the equal-time pair quantities; the
 routines here propagate states in time, check them, build the generators of
-one atom and of the pair by np.kron and evaluate the coincidence rate one
-detector pair at a time, so that the tests can compare the package against
-them.
+one atom and of the pair by np.kron, evaluate the coincidence rate one
+detector pair at a time and draw random detectors one at a time, so that the
+tests can compare the package against them.
 """
 
 import math
@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from atompair.atom_model import make_detector, transverse_basis
 from atompair.dynamics import drive_hamiltonian, unvectorize, vectorize
 from atompair.farfield import geometric_phase, lowering_coefficients
 
@@ -93,3 +94,14 @@ def g2_exact_per_point(scheme, geometry, det_1, det_2, rho_ab) -> float:
 
     e1, e2 = field(det_1), field(det_2)
     return float(np.trace(np.asarray(rho_ab) @ e1.conj().T @ e2.conj().T @ e2 @ e1).real)
+
+
+def random_transverse_detector(rng):
+    """One random transverse detector per call: the per-detector reference for
+    ``validation._random_detectors``, whose rows draw the same normal stream."""
+    n = rng.normal(size=3)
+    n /= np.linalg.norm(n)
+    e1, e2 = transverse_basis(n)
+    amp = rng.normal(size=2) + 1j * rng.normal(size=2)
+    eps = amp[0] * e1 + amp[1] * e2
+    return make_detector(n, eps / np.linalg.norm(eps))

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from atompair import dynamics, farfield, standard_geometry
+from atompair import correlations, dynamics, exact_oracle, farfield, standard_geometry
 from atompair.config import RunConfig
 from atompair.validation import (
     _g2_modulation_group,
@@ -81,6 +81,60 @@ def test_criterion_06_oracle_equivalence():
     accept(6, group, note=f"; {elapsed:.1f}s < 30s")
 
 
+def _check_results(group):
+    return {c.name: c.passed for c in group.checks}
+
+
+def test_oracle_group_catches_a_perturbed_factorized_phase(monkeypatch):
+    phase = correlations._fringe_phase
+
+    def perturbed(*args, **kwargs):
+        return phase(*args, **kwargs) * (1.0 + 1e-6)
+
+    assert (correlations, "_fringe_phase") in patch_aliases(monkeypatch, phase, perturbed)
+    results = _check_results(_oracle_group(np.random.default_rng(6), GEOMETRY))
+    assert results == {"factorized_matches_exact": False, "conditioned_state_identity": True}
+
+
+def test_oracle_group_catches_a_perturbed_conditioned_route(monkeypatch):
+    kernel = exact_oracle._conditioned_states
+
+    def perturbed(*args, **kwargs):
+        states, rates = kernel(*args, **kwargs)
+        return states * (1.0 + 1e-6), rates
+
+    assert (exact_oracle, "_conditioned_states") in patch_aliases(monkeypatch, kernel, perturbed)
+    results = _check_results(_oracle_group(np.random.default_rng(6), GEOMETRY))
+    assert results == {"factorized_matches_exact": True, "conditioned_state_identity": False}
+
+
+def test_oracle_and_normalized_groups_make_no_per_point_calls(monkeypatch):
+    # the oracle group evaluates its 5 x 50 pairs as stacks of at most _BLOCK pairs, and the
+    # normalized group its 72 closed-form points as one array
+    calls = {}
+
+    def counting(target):
+        def counted(*args, **kwargs):
+            calls[target.__name__] = calls.get(target.__name__, 0) + 1
+            return target(*args, **kwargs)
+
+        return counted
+
+    per_point = (
+        exact_oracle.g2_exact,
+        exact_oracle.conditioned_state,
+        exact_oracle.intensity_exact,
+        correlations.g2_factorized,
+        correlations.g2_normalized_closed_form,
+    )
+    stacked = (exact_oracle._g2_exact_stack, correlations._g2_normalized_closed_form)
+    for target in per_point + stacked:
+        patch_aliases(monkeypatch, target, counting(target))
+    assert _oracle_group(np.random.default_rng(6), GEOMETRY).passed
+    assert _normalized_group(GEOMETRY).passed
+    assert calls == {"_g2_exact_stack": 5 * 4, "_g2_normalized_closed_form": 1}
+
+
 def test_criterion_07_normalized_correlation():
     accept(7, _normalized_group(GEOMETRY))
 
@@ -124,6 +178,18 @@ def test_criterion_09_monte_carlo_consistency():
     group, elapsed = timed(_monte_carlo_group, config)
     assert elapsed < 120.0
     accept(9, group, note=f"; both runs in {elapsed:.1f}s < 120s")
+
+
+def test_monte_carlo_group_names_a_degenerate_stationary_state():
+    # without sigma decay the two driven pi pairs never exchange population: the Monte Carlo
+    # stays in the pair it starts in, and a pull against one member of the stationary family
+    # would divide by a zero standard error
+    config = RunConfig(g=1.0, gamma0=1.0, gamma=0.0, n_traj=50, t_total=20.0)
+    check = {c.name: c for c in _monte_carlo_group(config).checks}["populations_within_3_sigma"]
+    assert not check.passed
+    assert "not unique" in check.detail
+    assert "never leaves the pi pair it starts in" in check.detail
+    assert max(map(len, re.findall(r"[0-9][0-9.e+-]*", check.detail))) <= 20
 
 
 def test_criterion_10_superposition_contrast():

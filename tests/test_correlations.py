@@ -24,6 +24,7 @@ from atompair import (
     witness_from_g2,
 )
 from atompair.atom_model import Y_HAT, pi_polarization, sigma_polarization
+from atompair.correlations import _g2_normalized_closed_form
 from atompair.scans import g2_scan, scan_direction
 
 from conftest import random_params, random_transverse_detector
@@ -239,6 +240,19 @@ class TestG2Normalized:
             ratio = g2_normalized(hg_level_scheme(p), geom, p, det_1, det_2)
             closed = g2_normalized_closed_form(geom, p, det_1, det_2)
             assert abs(ratio - closed) < 1e-10 * max(1.0, abs(ratio))
+
+    def test_closed_form_over_directions_matches_point_calls(self):
+        # one array evaluation over a scan's directions is the public point function per row
+        rng = np.random.default_rng(67)
+        p = random_params(rng)
+        geom = standard_geometry(0.8, (0.3, 0.5, 0.2))
+        det_1 = random_transverse_detector(rng)
+        eps_2 = random_transverse_detector(rng).epsilon
+        directions = scan_direction("xz", np.linspace(0, 2 * math.pi, 37))
+        closed = _g2_normalized_closed_form(geom, p, det_1, eps_2, directions)
+        points = [g2_normalized_closed_form(geom, p, det_1, Detector(n, eps_2)) for n in directions]
+        assert closed.shape == (37,)
+        assert np.max(np.abs(closed - points)) <= 1e-15 * np.max(np.abs(points))
 
 
 class TestWitness:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from atompair import (
     Detector,
+    DriveDecayParams,
     build_liouvillian,
     conditioned_state,
     g2_exact,
@@ -14,12 +15,18 @@ from atompair import (
     intensity,
     intensity_exact,
     pair_field_matrix,
+    standard_geometry,
     steady_state_analytic,
     steady_state_numeric,
+    two_level_scheme,
+    validation,
 )
 from atompair.atom_model import Y_HAT, sigma_polarization
+from atompair.correlations import _pair_correlations
 from atompair.dynamics import unvectorize, vectorize
+from atompair.exact_oracle import _conditioned_states, _g2_exact_stack, _intensities_exact
 from atompair.scans import scan_direction
+from atompair.validation import _random_detectors
 
 from conftest import random_params, random_transverse_detector
 from reference import product_liouvillian, propagate
@@ -212,3 +219,58 @@ class TestConditionedState:
         det = Detector(Y_HAT, sigma_polarization(Y_HAT))
         with pytest.raises(ValueError, match="shape"):
             g2_exact(scheme, geometry, det, det, np.eye(4, dtype=complex) / 4)
+
+
+class TestStackedKernels:
+    """The kernels take one detector pair per row; the point functions are the stack of one."""
+
+    @pytest.mark.parametrize("scheme_name", ["four-level", "two-level"])
+    def test_stacked_pairs_match_per_pair_calls(self, scheme_name):
+        rng = np.random.default_rng(89)
+        params = DriveDecayParams(g=0.7, gamma0=0.3, gamma=0.5)
+        schemes = {"four-level": hg_level_scheme(params), "two-level": two_level_scheme(params.total)}
+        scheme = schemes[scheme_name]
+        # a drive with a component along the atom axis, so every phase is nontrivial
+        geometry = standard_geometry(0.8, (0.3, 0.5, 0.2))
+        rho = steady_state_numeric(build_liouvillian(scheme, params))
+        rho_pair = np.kron(rho, rho)
+        # 50 pairs straddle three evaluation blocks
+        n, eps = (x.reshape(50, 2, 3) for x in _random_detectors(rng, 100))
+        pair = (n[:, 0], eps[:, 0], n[:, 1], eps[:, 1])
+        exact = _g2_exact_stack(scheme, geometry, *pair, rho_pair)
+        conditioned, rates = _conditioned_states(scheme, geometry, *pair[:2], rho_pair)
+        via_cond = _intensities_exact(scheme, geometry, *pair[2:], conditioned)
+        fact = _pair_correlations(scheme, geometry, *pair, rho)[0]
+        dets = [(Detector(n_1, e_1), Detector(n_2, e_2)) for n_1, e_1, n_2, e_2 in zip(*pair)]
+        cond = [conditioned_state(scheme, geometry, det_1, rho_pair) for det_1, _ in dets]
+        via = [intensity_exact(scheme, geometry, d[1], c.unnormalized) for d, c in zip(dets, cond)]
+        columns = {
+            "g2_exact": (exact, [g2_exact(scheme, geometry, *d, rho_pair) for d in dets]),
+            "rate": (rates, [c.rate for c in cond]),
+            "conditioned": (conditioned, [c.unnormalized for c in cond]),
+            "via_cond": (via_cond, via),
+            "g2_factorized": (fact, [g2_factorized(scheme, geometry, *d, rho) for d in dets]),
+        }
+        for name, (stacked, per_pair) in columns.items():
+            per_pair = np.asarray(per_pair)
+            assert stacked.shape == per_pair.shape, name
+            assert np.max(np.abs(stacked - per_pair)) <= 1e-15 * np.max(np.abs(per_pair)), name
+
+    @pytest.mark.parametrize("count", [1, 2, 37])
+    def test_random_detectors_match_sequential_draws(self, count):
+        batch_rng = np.random.default_rng(97)
+        serial_rng = np.random.default_rng(97)
+        n, eps = _random_detectors(batch_rng, count)
+        dets = [random_transverse_detector(serial_rng) for _ in range(count)]
+        assert n.shape == eps.shape == (count, 3)
+        np.testing.assert_array_max_ulp(n, np.array([d.n for d in dets]), maxulp=1)
+        np.testing.assert_array_max_ulp(
+            eps.view(float), np.array([d.epsilon for d in dets]).view(float), maxulp=1
+        )
+        assert batch_rng.bit_generator.state == serial_rng.bit_generator.state
+
+    def test_random_detectors_reject_a_non_transverse_row(self, monkeypatch):
+        # a second basis vector along n leaves every analyzer a component along n
+        monkeypatch.setattr(validation.np, "cross", lambda n, e1: n)
+        with pytest.raises(ValueError, match="not transverse"):
+            _random_detectors(np.random.default_rng(101), 5)

@@ -224,6 +224,38 @@ class QuantumJumpResult:
 _DRAW_BLOCK = 16
 
 
+def _pair_blocks(scheme: LevelScheme, a: np.ndarray, levels: np.ndarray):
+    """Per level k: the excited and ground level (e, l) of the driven pair that holds k, and N =
+    a - mu, which maps that block into itself and squares to kappa^2 there; an undriven level is
+    its own block, e = l = k and N e_k = kappa = 0.  Any other structure raises ValueError."""
+
+    def linked(k):
+        return [j for j in np.flatnonzero(a[k]) if j != k]
+
+    excited, ground = levels.copy(), levels.copy()
+    for row, k in enumerate(levels):
+        if linked(k):
+            e, l = (k, linked(k)[0]) if k in scheme.excited_levels else (linked(k)[0], k)
+            if linked(e) != [l] or linked(l) != [e] or a[e, e] == 0:
+                raise ValueError(f"level {k} is not in exactly one driven excited-ground pair")
+            excited[row], ground[row] = e, l
+    mu = (a[excited, excited] + a[ground, ground]) / 2
+    n = a - mu[:, None, None] * np.eye(len(a))
+    kappa = np.sqrt(np.einsum("rij,rji->ri", n, n)[np.arange(len(levels)), levels])  # (N^2)_kk
+    return excited, ground, mu, n, kappa
+
+
+def _pair_propagated(mu, kappa, phi, n_phi, tau: np.ndarray) -> np.ndarray:
+    """expm(a tau) phi = e^{(mu + kappa) tau} [(1 + w)/2 phi + (1 - w)/(2 kappa) N phi], w =
+    e^{-2 kappa tau}, for phi in a block a = mu + N, N^2 = kappa^2, given n_phi = N phi and tau of
+    the batch shape.  With the principal root kappa, Re(mu + kappa) <= 0 and |w| <= 1, so nothing
+    overflows at any tau, overdamped, underdamped or critical (kappa = 0: the fraction is tau)."""
+    mu, kappa, tau = (np.asarray(x)[..., None] for x in (mu, kappa, tau))
+    sinhc = np.expm1(-2 * kappa * tau)
+    sinhc = np.divide(sinhc, -2 * kappa, out=tau.astype(complex), where=kappa != 0)
+    return np.exp((mu + kappa) * tau) * (phi + sinhc * (n_phi - kappa * phi))
+
+
 def quantum_jump_estimate(
     scheme: LevelScheme,
     params: DriveDecayParams,
@@ -239,28 +271,28 @@ def quantum_jump_estimate(
     Waiting-time (delay-function) sampler: Plenio & Knight, Rev. Mod. Phys. 70, 101 (1998),
     Sec. IV; cf. Dalibard, Castin & Molmer, PRL 68, 580 (1992).  Every jump operator is
     |lower><upper|, so after a jump the state is a basis vector e_k and each trajectory is a
-    renewal process: until the next jump it is E(tau) e_k, with E(tau) = expm(-i H_eff tau) and
-    H_eff = H - (i/2) sum_c L_c^dag L_c, whose squared norm S_k(tau) is the survival function of
-    the waiting time.  E(m dt) e_k is tabulated once per restart level on the grid dt =
-    0.02/Gamma; the jump falls where S_k reaches the drawn threshold, bracketed on the table and
-    solved to machine precision with exact propagation inside one grid step (no discretization
-    bias), and the channel is drawn with weights rate_c |psi_upper_c|^2 there.
+    renewal process: until the next jump it is E(tau) e_k, E(tau) = expm(a tau), whose squared
+    norm S_k(tau) is the survival function of the waiting time.  E(tau) e_k stays in the driven
+    excited-ground pair that holds k, where ``_pair_propagated`` gives it in closed form.  The
+    grid dt = 0.02/Gamma only brackets jumps: S_k(m dt) is tabulated per restart level, the jump
+    time is solved to machine precision inside its grid step, and the channel is drawn with
+    weights rate_c |psi_upper_c|^2 there.
 
     Estimator: the exact time average of the normalized projector P = psi psi^dag / |psi|^2 over
     [t_burn, t_total], t_total = n_steps dt and t_burn = (n_steps - n_samples) dt, the first
     ``burn_fraction`` of the horizon.  By the renewal structure (Breuer & Petruccione, The Theory
     of Open Quantum Systems, OUP 2002, ch. 6) a stretch from level k contributes
     F_k(tau_b) - F_k(tau_a), F_k(tau) = int_0^tau P(E(s) e_k) ds, between its part's ends in the
-    window.  F_k has a closed form.  Level k lies in one driven pair of an excited level e and a
-    ground level l, where a = -i H_eff holds a[e, l] = a[l, e] = i c and a[e, e] = -G; up to a
-    constant phase E(tau) e_k = |psi| (cos t e_l + i sin t e_e), with t' = c - G sin t cos t and
-    d ln S_k / dtau = -2 G sin^2 t.  So F_ee = -ln S_k / (2 G), F_ll = tau - F_ee and F_el =
-    -F_le = i (c tau - (t(tau) - t(0))) / G, where t is read from the state by atan2 and unwound
-    to within pi of t(0) + w tau, w = sign(c) sqrt(max(c^2 - G^2 / 4, 0)): the no-jump map
-    preserves orientation, so t never strays further.  An undriven level stays put, F_k = tau
-    e_k e_k^T; a restart level in any other structure raises ValueError.  Each round moves every
-    live trajectory one jump ahead and adds its stretch, vectorized, so the cost scales with the
-    jumps.  Each entry's standard error is taken across the per-trajectory averages.
+    window, in its own time tau.  On the pair of excited level e and ground level l, a[e, l] =
+    a[l, e] = i c and a[e, e] = -G; up to a constant phase E(tau) e_k = |psi| (cos t e_l + i sin
+    t e_e), with t' = c - G sin t cos t and d ln S_k / dtau = -2 G sin^2 t.  So F_ee = -ln S_k /
+    (2 G), F_ll = tau - F_ee and F_el = -F_le = i (c tau - (t(tau) - t(0))) / G, where t is read
+    from the state by atan2 and unwound to within pi of t(0) + sign(c) |Im kappa| tau: the
+    no-jump map preserves orientation, so t never strays further.  An undriven level stays put,
+    F_k = tau e_k e_k^T; a restart level in any other structure raises ValueError.  Each round
+    moves every live trajectory one jump ahead and adds its stretch, vectorized, so the cost
+    scales with the jumps.  Each entry's standard error is taken across the per-trajectory
+    averages.
 
     Determinism: trajectory i draws only from its own substream of ``SeedSequence(seed)``,
     in a fixed order (the first threshold; per jump, the channel, then the next threshold),
@@ -282,62 +314,28 @@ def quantum_jump_estimate(
     n_samples = n_steps - int(round(burn_fraction * n_steps))
     if n_samples == 0:
         raise ValueError("no samples collected; decrease burn_fraction or increase t_total")
-    burn = n_steps - n_samples  # t_burn = burn dt
 
     a, uppers, lowers, rates = _generator(scheme, params)
-    # propagate(taus)[i] = expm(a taus[i]) for 0 <= taus <= dt: degree-18 Taylor series of
-    # expm(a tau / 2^s) with ||a dt / 2^s||_1 <= 1/2 (truncation below 1e-22), squared s times
-    norm_dt = dt * np.abs(a).sum(axis=0).max()
-    squarings = max(0, math.ceil(math.log2(max(2.0 * norm_dt, 1.0))))
-    terms = [np.eye(dim, dtype=complex)]
-    for n in range(1, 19):
-        terms.append(terms[-1] @ a / n)
-    terms = np.reshape(terms, (len(terms), -1))
-
-    def propagate(taus) -> np.ndarray:
-        x = np.asarray(taus, dtype=float)[:, None] / 2.0**squarings
-        # complex powers: the same product bit for bit, about twice as fast as mixed types
-        powers = (x ** np.arange(len(terms))).astype(complex)
-        out = np.empty((len(x), dim * dim), dtype=complex)
-        for lo in range(0, len(x), 128):  # OpenBLAS threads larger blocks, at a loss here
-            np.matmul(powers[lo : lo + 128], terms, out=out[lo : lo + 128])
-        out = out.reshape(-1, dim, dim)
-        for _ in range(squarings):
-            out = out @ out
-        return out
-
-    # table[searchsorted(restart, k), m] = E(m dt) e_k, past the longest stretch r0 + n_steps dt
     restart = np.unique(np.append(lowers, initial_level))
-    table = np.zeros((len(restart), n_steps + 2, dim), dtype=complex)
-    table[:, 0] = np.eye(dim)[restart]
-    power, filled = propagate([dt])[0], 1
-    while filled < table.shape[1]:
-        n = min(filled, table.shape[1] - filled)
-        table[:, filled : filled + n] = np.einsum("lmj,ij->lmi", table[:, :n], power)
-        power, filled = power @ power, filled + n
-    neg_survival = -np.einsum("lmi,lmi->lm", table, table.conj()).real
-
-    # per restart row: the excited and ground level of the driven pair that holds k, its
-    # coupling c = a[e, l] / i and half decay rate G = -a[e, e]; an undriven row has e = l = k
-    # and G = inf, which zeroes F_ee and F_el and so leaves F_k = tau e_k e_k^T
-    def linked(k):
-        return [j for j in np.flatnonzero(a[k]) if j != k]
-
-    excited, ground = restart.copy(), restart.copy()
-    for row, k in enumerate(restart):
-        if linked(k):
-            e, l = (k, linked(k)[0]) if k in scheme.excited_levels else (linked(k)[0], k)
-            if linked(e) != [l] or linked(l) != [e] or a[e, e] == 0:
-                raise ValueError(f"level {k} is not in exactly one driven excited-ground pair")
-            excited[row], ground[row] = e, l
+    excited, ground, mu, n_pair, kappa = _pair_blocks(scheme, a, restart)
+    unit = np.eye(dim)[restart]  # e_k per restart row
+    # F_k's c = a[e, l] / i and G = -a[e, e] per row; G = inf on an undriven row zeroes F_ee, F_el
     coupling = a[excited, ground].imag
     half_decay = np.where(excited != ground, -a[excited, excited].real, np.inf)
-    rotation = np.sign(coupling) * np.sqrt(np.maximum(coupling**2 - half_decay**2 / 4, 0.0))
+    rotation = np.sign(coupling) * abs(kappa.imag)
 
-    def integrated(lev, m, frac) -> np.ndarray:
-        """F_k(m dt + frac) for 0 <= frac <= dt, in closed form from the no-jump state there."""
-        tau = m * dt + frac
-        psi = np.einsum("bij,bj->bi", propagate(frac), table[lev, m])
+    # table[searchsorted(restart, k), m] = E(m dt) e_k up to t_total, written on k's pair columns
+    table = np.zeros((len(restart), n_steps + 1, dim), dtype=complex)
+    for row, k in enumerate(restart):
+        cols = [excited[row], ground[row]]
+        table[row][:, cols] = _pair_propagated(
+            mu[row], kappa[row], unit[row, cols], n_pair[row, cols, k], dt * np.arange(n_steps + 1)
+        )
+    neg_survival = -np.einsum("lmi,lmi->lm", table, table.conj()).real
+
+    def integrated(lev, tau) -> np.ndarray:
+        """F_k(tau) in closed form from the no-jump state E(tau) e_k."""
+        psi = _pair_propagated(mu[lev], kappa[lev], unit[lev], n_pair[lev, :, restart[lev]], tau)
         rows, e, l = np.arange(len(lev)), excited[lev], ground[lev]
         # psi_l + psi_e = |psi| exp(i (t(tau) - t(0))), whether k = l (t(0) = 0) or k = e
         turn = np.angle(psi[rows, l] + psi[rows, e])
@@ -355,16 +353,17 @@ def quantum_jump_estimate(
         return rates * np.abs(psi[:, uppers]) ** 2
 
     def crossing(rows, m, thresh):
-        """Offsets delta in [0, dt] where ||E(delta) table[rows, m]||^2 = thresh, and the
-        states there: Newton from the linear interpolation of the bracketing survival values,
-        bisecting instead of any step that leaves the bracket or fails to halve the last."""
+        """Times m dt + delta, delta in [0, dt], where ||E(delta) table[rows, m]||^2 = thresh,
+        and the states there: Newton from the linear interpolation of the bracketing survival
+        values, bisecting instead of any step that leaves the bracket or fails to halve the last."""
         phi, s_lo, s_hi = table[rows, m], -neg_survival[rows, m], -neg_survival[rows, m + 1]
+        n_phi = np.einsum("bij,bj->bi", n_pair[rows], phi)
         tol = 4.0 * np.finfo(float).eps
         lo, hi = np.zeros_like(thresh), np.full_like(thresh, dt)
         delta = dt * (s_lo - thresh) / (s_lo - s_hi)
         prev_step, done = hi, np.zeros(thresh.shape, dtype=bool)
         for _ in range(200):
-            psi = np.einsum("bij,bj->bi", propagate(delta), phi)
+            psi = _pair_propagated(mu[rows], kappa[rows], phi, n_phi, delta)
             excess = np.einsum("bi,bi->b", psi, psi.conj()).real - thresh
             lo, hi = np.where(excess >= 0, delta, lo), np.where(excess >= 0, hi, delta)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -374,47 +373,34 @@ def quantum_jump_estimate(
             step = np.where(newton, step, delta - (lo + hi) / 2)
             done |= (abs(excess) <= tol * thresh) | (abs(step) <= tol * dt)
             if done.all():
-                return delta, psi
+                return m * dt + delta, psi
             delta, prev_step = np.where(done, delta, delta - step), step
         raise RuntimeError("jump-time root finding did not converge")
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
     draws = np.empty((n_traj, _DRAW_BLOCK, 2))  # per jump: channel, threshold
     used = np.full(n_traj, _DRAW_BLOCK)  # buffered jumps consumed
-    # trajectory i restarted from level row[i] at time start[i] dt - r0[i], 0 <= r0 < dt,
-    # so its grid point start[i] + j holds E(r0 + j dt) e_k
     row = np.full(n_traj, np.searchsorted(restart, initial_level))
-    start = np.zeros(n_traj, dtype=int)
-    r0 = np.zeros(n_traj)
+    restarted = np.zeros(n_traj)  # the time of each trajectory's last jump
     thresholds = np.array([rng.random() for rng in rngs])
     live = np.arange(n_traj)
     acc = np.zeros((n_traj, dim, dim), dtype=complex)  # each trajectory's integral
     n_jumps = 0
     while live.size:
-        lev, first, off, thresh = row[live], start[live], r0[live], thresholds[live]
+        lev, thresh = row[live], thresholds[live]
+        end = n_steps * dt - restarted[live]  # t_total in each stretch's own time
+        cut = end - n_samples * dt  # t_burn there; F_k(cut) = 0 for cut <= 0
         m = np.empty(live.size, dtype=int)  # first table index with survival below threshold
         for level in np.unique(lev):
             m[lev == level] = np.searchsorted(neg_survival[level], -thresh[lev == level], "right")
-        cand = np.flatnonzero((m < table.shape[1]) & ((m - 1) * dt < off + (n_steps - first) * dt))
-        delta, psi_jump = crossing(lev[cand], m[cand] - 1, thresh[cand])
-        # jump at tau = (m - 1) dt + delta, after the grid points r0 + j dt it covers
-        past = delta > off[cand]
-        covered = m[cand] - 1 + past
-        jumped = first[cand] + covered <= n_steps
-        cand, delta, past, covered = cand[jumped], delta[jumped], past[jumped], covered[jumped]
-        # the stretch ends at end_m dt + end_f in its own time: the jump, else t_total; its part
-        # after t_burn (at cut_m dt + r0) adds F_k(end) - F_k(cut), F_k(cut) = 0 for cut <= 0
-        end_m, end_f = n_steps - first, off.copy()
-        end_m[cand], end_f[cand] = m[cand] - 1, delta
-        cut_m = burn - first
-        cut = cut_m * dt + off
-        ends = np.flatnonzero(end_m * dt + end_f > np.maximum(cut, 0.0))
+        cand = np.flatnonzero((m - 1) * dt < end)  # brackets before t_total: m <= n_steps
+        tau, psi_jump = crossing(lev[cand], m[cand] - 1, thresh[cand])
+        jumped = tau <= end[cand]
+        cand, tau = cand[jumped], tau[jumped]
+        end[cand] = tau  # the stretch ends at the jump, else at t_total
+        ends = np.flatnonzero(end > np.maximum(cut, 0.0))
         cuts = ends[cut[ends] > 0]
-        values = integrated(
-            lev[np.concatenate([ends, cuts])],
-            np.concatenate([end_m[ends], cut_m[cuts]]),
-            np.concatenate([end_f[ends], off[cuts]]),
-        )
+        values = integrated(lev[np.append(ends, cuts)], np.append(end[ends], cut[cuts]))
         acc[live[ends]] += values[: ends.size]
         acc[live[cuts]] -= values[ends.size :]
         weights = decay(psi_jump[jumped])
@@ -429,8 +415,7 @@ def quantum_jump_estimate(
         # per row: searchsorted(cumsum(weights) / total, draw, side="right")
         pick = (np.cumsum(weights, axis=1) / total[:, None] <= draw[:, :1]).sum(axis=1)
         row[traj] = np.searchsorted(restart, lowers[np.minimum(pick, len(rates) - 1)])
-        start[traj] = first[cand] + covered
-        r0[traj] = np.where(past, dt, 0.0) + off[cand] - delta
+        restarted[traj] += tau
         thresholds[traj] = draw[:, 1]
         n_jumps += traj.size
         live = traj

@@ -8,13 +8,16 @@ Subcommands::
     atompair validate       ...
 
 Exit codes: 0 success, 1 validation or runtime failure, 2 configuration
-error.  All numbers are serialized with 17 significant digits so repeated
-runs with the same config and seed diff clean.
+error.  CSV writes every float with 17 significant digits (``.17g``) and JSON
+writes its shortest round-trip ``repr``; either way repeated runs with the same
+config and seed diff clean.  The JSON layout is exactly that of
+``json.dumps(payload, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -74,19 +77,32 @@ def _write_csv(path: str, metadata: dict, columns: dict) -> None:
 
 
 def _write_json(path: str, metadata: dict, columns: dict) -> None:
-    payload = {
-        "metadata": metadata,
-        "columns": {name: _plain_column(values) for name, values in columns.items()},
-    }
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """``json.dumps({"metadata": ..., "columns": ...}, indent=2, sort_keys=True)``, byte for byte.
+
+    CPython encodes with its C encoder only when ``indent`` is None, so each column
+    is one such call whose separator carries the newline and indent of the
+    ``indent=2`` layout.
+    """
+    body = []
+    for name in sorted(columns):
+        column = json.dumps(_plain_column(columns[name]), separators=(",\n      ", ": "))
+        if column != "[]":
+            column = f"[\n      {column[1:-1]}\n    ]"
+        body.append(f"{json.dumps(name)}: {column}")
+    # encoded strings hold no raw newline, so every newline is layout
+    meta = json.dumps(metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
+    columns_text = ",\n    ".join(body)
+    _write_text(path, f'{{\n  "columns": {{\n    {columns_text}\n  }},\n  "metadata": {meta}\n}}\n')
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` and say so; ``"-"`` or ``""`` prints it instead."""
     if path == "-" or path == "":
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
+    print(f"wrote {path}")
 
 
 def _write_table(config: RunConfig, default_name: str, metadata: dict, columns: dict) -> None:
@@ -97,8 +113,6 @@ def _write_table(config: RunConfig, default_name: str, metadata: dict, columns: 
         _write_json(path, metadata, columns)
     else:
         _write_csv(path, metadata, columns)
-    if path not in ("", "-"):
-        print(f"wrote {path}")
 
 
 def _scan_inputs(config: RunConfig):
@@ -227,10 +241,10 @@ def cmd_validate(config: RunConfig) -> int:
     print(f"{'PASS' if report.passed else 'FAIL'}  overall")
     if config.path:
         _write_text(config.path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"wrote {config.path}")
     return 0 if report.passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atompair",

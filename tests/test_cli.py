@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atompair.cli import main
+from atompair.cli import _build_parser, _write_json, main
 from atompair.config import ConfigError, parse_config_text
 
 from conftest import substitute_rejected_formula
@@ -202,16 +202,19 @@ class TestIntensityScanCommand:
 
     def test_bit_stable_output(self, tmp_path):
         cfg = write_config(tmp_path, "pol_1 = pi\nscan_points = 48\n")
-        outs = []
-        for name in ("a.csv", "b.csv"):
-            out = str(tmp_path / name)
-            main(["intensity-scan", "--config", cfg, "--output", out])
-            outs.append(open(out, "rb").read())
-        # the config echo records the output path; strip it before comparing
-        strip = lambda blob: b"\n".join(
-            line for line in blob.split(b"\n") if not line.startswith(b"# path")
-        )
-        assert strip(outs[0]) == strip(outs[1])
+        for command, fmt in (("intensity-scan", "csv"), ("g2-scan", "json")):
+            outs = []
+            for name in ("a", "b"):
+                out = str(tmp_path / f"{name}.{fmt}")
+                assert main([command, "--config", cfg, "--output", out, "--format", fmt]) == 0
+                outs.append(open(out, "rb").read())
+            # the config echo records the output path; strip it before comparing
+            strip = lambda blob: b"\n".join(
+                line
+                for line in blob.split(b"\n")
+                if not line.startswith(b"# path") and not line.lstrip().startswith(b'"path":')
+            )
+            assert strip(outs[0]) == strip(outs[1]), command
 
 
 class TestG2ScanCommand:
@@ -326,11 +329,72 @@ class TestValidateCommand:
         assert code == 1
         assert "FAIL  trace_normalization" in captured
 
+    def test_report_on_stdout_names_no_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_MC)
+        main(["validate", "--config", cfg, "--output", "-"])
+        out = capsys.readouterr().out
+        assert out.endswith("}\n")
+        assert "wrote" not in out
+
     def test_has_no_fault_injection_switch(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["validate", "--inject-trace-bug"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --inject-trace-bug" in capsys.readouterr().err
+
+
+class TestJsonLayout:
+    """The JSON writers produce exactly ``json.dumps(..., indent=2, sort_keys=True)``."""
+
+    @staticmethod
+    def assert_stdlib_layout(text):
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", ["steady-state", "intensity-scan", "g2-scan", "validate"])
+    def test_every_command(self, tmp_path, command):
+        cfg = write_config(tmp_path, FAST_MC + "scan_points = 12\n")
+        out = tmp_path / "out.json"
+        assert main([command, "--config", cfg, "--output", str(out), "--format", "json"]) == 0
+        self.assert_stdlib_layout(out.read_text(encoding="utf-8"))
+
+    def test_awkward_payload(self, tmp_path):
+        metadata = {"zeta": "quote \" and back\\slash", "alpha": float("nan"), "\u00e9t\u00e9": -0.0}
+        columns = {
+            "value": np.array([float("nan"), float("inf"), -float("inf"), 0.1, -2.5e-300]),
+            "flag": np.array([True, False, True]),
+            "label": ["\u03c1\u2081\u2081", 'say "hi"', "tab\there", ""],
+            "empty": np.array([]),
+            "single": np.array([1.0 / 3.0]),
+            "\u00fcber": [7],
+        }
+        out = tmp_path / "out.json"
+        _write_json(str(out), metadata, columns)
+        text = out.read_text(encoding="utf-8")
+        self.assert_stdlib_layout(text)
+        payload = json.loads(text)
+        assert payload["columns"]["flag"] == [1, 0, 1]
+        assert payload["columns"]["empty"] == []
+        assert payload["columns"]["single"] == [1.0 / 3.0]
+        assert math.isnan(payload["metadata"]["alpha"])
+
+
+def test_parser_shared_across_calls(tmp_path, capsys):
+    # the parser is built once per process; no call may see another's arguments
+    assert _build_parser() is _build_parser()
+    cfg = write_config(tmp_path, "seed = 11\nformat = csv\nscan_points = 8\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["intensity-scan", "--no-such-flag"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+    argv = ["intensity-scan", "--config", cfg, "--output", "-"]
+    assert main(argv + ["--seed", "7", "--format", "json"]) == 0
+    metadata = json.loads(capsys.readouterr().out)["metadata"]
+    assert (metadata["seed"], metadata["format"]) == (7, "json")
+
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "# seed = 11\n" in out and "# format = csv\n" in out
 
 
 # Stored outputs of the scan and steady-state commands at small non-standard

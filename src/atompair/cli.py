@@ -7,9 +7,18 @@ Subcommands::
     atompair g2-scan        ...
     atompair validate       ...
 
+Output goes to ``--output`` (or the config's ``path``); ``-`` prints it.  With
+no path the scans write ``intensity_scan.<format>`` or ``g2_scan.<format>`` in
+the working directory, while steady-state only prints its table and validate
+only its lines.  validate's report is JSON whatever ``format`` says.
+
 Exit codes: 0 success, 1 validation or runtime failure, 2 configuration
-error.  CSV writes every float with 17 significant digits (``.17g``) and JSON
-writes its shortest round-trip ``repr``; either way repeated runs with the same
+error, which includes an analyzer left undefined at the reference direction
+(``pi`` or a ``custom`` vector along it) and, in g2-scan, one that sees no
+light from the scheme.
+
+CSV writes every float with 17 significant digits (``.17g``) and JSON writes
+its shortest round-trip ``repr``; either way repeated runs with the same
 config and seed diff clean.  The JSON layout is exactly that of
 ``json.dumps(payload, indent=2, sort_keys=True)``.
 """
@@ -24,10 +33,9 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .atom_model import Detector
-from .config import ConfigError, RunConfig, load_config
+from .atom_model import Detector, DriveDecayParams, hg_level_scheme, standard_geometry, two_level_scheme
+from .config import _VECTOR_LENGTHS, ConfigError, RunConfig, load_config
 from .dynamics import (
-    DegenerateSteadyStateError,
     build_liouvillian,
     liouvillian_residual,
     quantum_jump_estimate,
@@ -38,7 +46,7 @@ from .dynamics import (
 from .correlations import modulation_depth
 from .farfield import intensity_visibility, lowering_coefficients
 from .scans import g2_exact_scan, g2_scan, intensity_scan, reference_direction, resolve_polarization
-from .validation import model_from_config, run_validation
+from .validation import _population_pull, run_validation
 
 __all__ = ["main"]
 
@@ -49,12 +57,11 @@ def _format_float(value: float) -> str:
 
 def _config_echo(config: RunConfig) -> dict:
     echo = asdict(config)
-    echo["drive_direction"] = ",".join(_format_float(x) for x in config.drive_direction)
-    for key in ("pol_1_vector", "pol_2_vector"):
-        if echo[key] is not None:
-            echo[key] = ",".join(_format_float(x) for x in echo[key])
-        else:
+    for key in _VECTOR_LENGTHS:
+        if echo[key] is None:
             del echo[key]
+        else:
+            echo[key] = ",".join(_format_float(x) for x in echo[key])
     return echo
 
 
@@ -96,8 +103,8 @@ def _write_json(path: str, metadata: dict, columns: dict) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` and say so; ``"-"`` or ``""`` prints it instead."""
-    if path == "-" or path == "":
+    """Write ``text`` to ``path`` and say so; ``"-"`` prints it instead."""
+    if path == "-":
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -105,28 +112,42 @@ def _write_text(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _write_table(config: RunConfig, default_name: str, metadata: dict, columns: dict) -> None:
-    path = config.path or default_name
-    if config.format == "json":
-        if not config.path:
-            path = default_name.rsplit(".", 1)[0] + ".json"
-        _write_json(path, metadata, columns)
+def _write_table(config: RunConfig, stem: str, metadata: dict, columns: dict) -> None:
+    writer = _write_json if config.format == "json" else _write_csv
+    writer(config.path or f"{stem}.{config.format}", metadata, columns)
+
+
+def _model_from_config(config: RunConfig):
+    """(scheme, params, geometry) for a run configuration.
+
+    The two-level scheme uses the total half-rate gamma0 + gamma as its
+    single decay half-rate, so closed forms keep the same Gamma.
+    """
+    params = DriveDecayParams(g=config.g, gamma0=config.gamma0, gamma=config.gamma)
+    if config.scheme == "two-level":
+        scheme = two_level_scheme(params.total)
     else:
-        _write_csv(path, metadata, columns)
+        scheme = hg_level_scheme(params)
+    geometry = standard_geometry(config.separation_wavelengths, config.drive_direction)
+    return scheme, params, geometry
 
 
 def _scan_inputs(config: RunConfig):
     """Model, analyzer vectors and the steady state a scan command scans."""
-    scheme, params, geometry = model_from_config(config)
+    scheme, params, geometry = _model_from_config(config)
     n_ref = reference_direction(config.scan_plane)
-    eps_1 = resolve_polarization(config.pol_1, n_ref, config.polarization_vector(1))
-    eps_2 = resolve_polarization(config.pol_2, n_ref, config.polarization_vector(2))
+    eps = []
+    for which, kind in ((1, config.pol_1), (2, config.pol_2)):
+        try:
+            eps.append(resolve_polarization(kind, n_ref, config.polarization_vector(which)))
+        except ValueError as exc:
+            raise ConfigError(f"key 'pol_{which}': {exc}") from None
     rho = steady_state_numeric(build_liouvillian(scheme, params))
-    return scheme, params, geometry, eps_1, eps_2, rho
+    return scheme, params, geometry, *eps, rho
 
 
 def cmd_steady_state(config: RunConfig) -> int:
-    scheme, params, _ = model_from_config(config)
+    scheme, params, _ = _model_from_config(config)
     liou = build_liouvillian(scheme, params)
     numeric = steady_state_numeric(liou)
     if config.scheme == "two-level":
@@ -137,44 +158,35 @@ def cmd_steady_state(config: RunConfig) -> int:
         scheme, params, config.n_traj, config.t_total / params.total, config.seed
     )
 
-    dim = scheme.n_levels
-    labels = [(f"rho{i + 1}{j + 1}", i, j) for i in range(dim) for j in range(i, dim)]
-    width = max(len(label) for label, _, _ in labels)
+    rows, cols = np.triu_indices(scheme.n_levels)
+    labels = [f"rho{i + 1}{j + 1}" for i, j in zip(rows, cols)]
+    width = max(len(label) for label in labels)
     print(f"{'entry':<{width}}  {'analytic':>25}  {'numeric':>25}  {'monte_carlo':>25}  {'mc_stderr':>12}")
-    for label, i, j in labels:
+    for label, i, j in zip(labels, rows, cols):
         cells = [f"{m[i, j].real:+.6f}{m[i, j].imag:+.6f}j" for m in (analytic, numeric, mc.rho)]
         print(f"{label:<{width}}  {cells[0]:>25}  {cells[1]:>25}  {cells[2]:>25}  {mc.stderr[i, j]:>12.3e}")
     res_analytic = liouvillian_residual(liou, analytic)
     res_numeric = liouvillian_residual(liou, numeric)
     max_diff = float(np.max(np.abs(numeric - analytic)))
-    pulls = [
-        abs(mc.rho[i, i].real - analytic[i, i].real) / max(mc.stderr[i, i], 1e-300)
-        for i in range(scheme.n_levels)
-    ]
     print(f"residual |L rho_analytic| = {res_analytic:.3e}")
     print(f"residual |L rho_numeric|  = {res_numeric:.3e}")
     print(f"max |numeric - analytic|  = {max_diff:.3e}")
-    print(f"max population pull       = {max(pulls):.2f} standard errors")
+    print(f"max population pull       = {_population_pull(mc, analytic):.2f} standard errors")
 
     if config.path:
-        columns = {
-            "entry": [label for label, _, _ in labels],
-            "analytic_re": [analytic[i, j].real for _, i, j in labels],
-            "analytic_im": [analytic[i, j].imag for _, i, j in labels],
-            "numeric_re": [numeric[i, j].real for _, i, j in labels],
-            "numeric_im": [numeric[i, j].imag for _, i, j in labels],
-            "mc_re": [mc.rho[i, j].real for _, i, j in labels],
-            "mc_im": [mc.rho[i, j].imag for _, i, j in labels],
-            "mc_stderr": [mc.stderr[i, j] for _, i, j in labels],
-        }
-        metadata = dict(_config_echo(config))
+        columns = {"entry": labels}
+        for name, rho in (("analytic", analytic), ("numeric", numeric), ("mc", mc.rho)):
+            columns[f"{name}_re"] = rho[rows, cols].real
+            columns[f"{name}_im"] = rho[rows, cols].imag
+        columns["mc_stderr"] = mc.stderr[rows, cols]
+        metadata = _config_echo(config)
         metadata.update(
             residual_analytic=res_analytic,
             residual_numeric=res_numeric,
             max_abs_difference=max_diff,
             mc_jumps_per_traj=mc.n_jumps / mc.n_traj,
         )
-        _write_table(config, "steady_state.csv", metadata, columns)
+        _write_table(config, "steady_state", metadata, columns)
     return 0
 
 
@@ -183,7 +195,7 @@ def cmd_intensity_scan(config: RunConfig) -> int:
     scan = intensity_scan(
         scheme, geometry, eps_1, rho, plane=config.scan_plane, n_points=config.scan_points
     )
-    metadata = dict(_config_echo(config))
+    metadata = _config_echo(config)
     metadata.update(
         coherence_damping_rate=params.total,
         visibility=scan.visibility,
@@ -194,7 +206,7 @@ def cmd_intensity_scan(config: RunConfig) -> int:
         "phase": scan.phases,
         "intensity": scan.intensities,
     }
-    _write_table(config, "intensity_scan.csv", metadata, columns)
+    _write_table(config, "intensity_scan", metadata, columns)
     return 0
 
 
@@ -210,7 +222,7 @@ def cmd_g2_scan(config: RunConfig) -> int:
     scan = g2_scan(scheme, geometry, eps_1, eps_2, rho, **grid)
     exact = g2_exact_scan(scheme, geometry, eps_1, eps_2, rho, **grid)
     n_ref = reference_direction(config.scan_plane)
-    metadata = dict(_config_echo(config))
+    metadata = _config_echo(config)
     metadata.update(
         coherence_damping_rate=params.total,
         modulation_depth=scan.modulation_depth,
@@ -228,7 +240,7 @@ def cmd_g2_scan(config: RunConfig) -> int:
         "witness_rhs": scan.witness_rhs,
         "violated": scan.violated,
     }
-    _write_table(config, "g2_scan.csv", metadata, columns)
+    _write_table(config, "g2_scan", metadata, columns)
     return 0
 
 
@@ -244,6 +256,14 @@ def cmd_validate(config: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
+_COMMANDS = {
+    "steady-state": (cmd_steady_state, "compare analytic, null-space and Monte Carlo steady states"),
+    "intensity-scan": (cmd_intensity_scan, "far-field intensity over a full circle of directions"),
+    "g2-scan": (cmd_g2_scan, "two-detector coincidence quantities over a scan"),
+    "validate": (cmd_validate, "run the invariant suite and report pass/fail per group"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -251,12 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fringe scans and photon-coincidence statistics of two driven atoms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("steady-state", "compare analytic, null-space and Monte Carlo steady states"),
-        ("intensity-scan", "far-field intensity over a full circle of directions"),
-        ("g2-scan", "two-detector coincidence quantities over a scan"),
-        ("validate", "run the invariant suite and report pass/fail per group"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="path to a flat key = value config file")
         cmd.add_argument("--output", help="output path (overrides the config 'path' key)")
@@ -267,40 +282,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    flags = {"path": args.output, "format": args.format, "seed": args.seed}
     try:
         config = load_config(args.config) if args.config else RunConfig()
-        overrides = {}
-        if args.output is not None:
-            overrides["path"] = args.output
-        if args.format is not None:
-            overrides["format"] = args.format
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            config = replace(config, **overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "steady-state":
-            return cmd_steady_state(config)
-        if args.command == "intensity-scan":
-            return cmd_intensity_scan(config)
-        if args.command == "g2-scan":
-            return cmd_g2_scan(config)
-        if args.command == "validate":
-            return cmd_validate(config)
-    except DegenerateSteadyStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+        return _COMMANDS[args.command][0](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ and key; every ``RunConfig`` is checked when built, ``replace`` overrides too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,12 +57,9 @@ class RunConfig:
         return arr[0::2] + 1j * arr[1::2]
 
 
-_FLOAT_KEYS = {"g", "gamma0", "gamma", "separation_wavelengths", "t_total"}
-_INT_KEYS = {"scan_points", "n_traj", "seed"}
-_STR_KEYS = {"scheme", "scan_plane", "pol_1", "pol_2", "path", "format"}
-_VEC3_KEYS = {"drive_direction"}
-_VEC6_KEYS = {"pol_1_vector", "pol_2_vector"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _VEC3_KEYS | _VEC6_KEYS
+# every key parses as the type of its default, except the vectors: comma-separated floats
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_VECTOR_LENGTHS = {"drive_direction": 3, "pol_1_vector": 6, "pol_2_vector": 6}
 
 _CHOICES = {
     "scheme": ("four-level", "two-level"),
@@ -71,16 +68,6 @@ _CHOICES = {
     "pol_2": ("pi", "sigma", "custom"),
     "format": ("csv", "json"),
 }
-
-
-def _parse_floats(raw: str, count: int, key: str, lineno: int) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != count:
-        raise ConfigError(f"line {lineno}: key '{key}' expects {count} comma-separated numbers")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: key '{key}': {exc}") from None
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -94,23 +81,21 @@ def parse_config_text(text: str) -> RunConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         try:
-            if key in _FLOAT_KEYS:
-                values[key] = float(raw)
-            elif key in _INT_KEYS:
-                values[key] = int(raw)
-            elif key in _VEC3_KEYS:
-                values[key] = _parse_floats(raw, 3, key, lineno)
-            elif key in _VEC6_KEYS:
-                values[key] = _parse_floats(raw, 6, key, lineno)
+            if key in _VECTOR_LENGTHS:
+                count = _VECTOR_LENGTHS[key]
+                parts = [p.strip() for p in raw.split(",")]
+                if len(parts) != count:
+                    raise ConfigError(
+                        f"line {lineno}: key '{key}' expects {count} comma-separated numbers"
+                    )
+                values[key] = tuple(float(p) for p in parts)
             else:
-                values[key] = raw
-        except ConfigError:
-            raise
+                values[key] = type(_DEFAULTS[key])(raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key '{key}': {exc}") from None
         if key in _CHOICES and values[key] not in _CHOICES[key]:
@@ -121,9 +106,10 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
-    for key in sorted(_FLOAT_KEYS | _VEC3_KEYS | _VEC6_KEYS):
+    for key, default in sorted(_DEFAULTS.items()):
         value = getattr(config, key)
-        if value is not None and not np.all(np.isfinite(value)):
+        numeric = isinstance(default, float) or key in _VECTOR_LENGTHS
+        if numeric and value is not None and not np.all(np.isfinite(value)):
             raise ConfigError(f"key '{key}' must be finite")
     if config.g < 0:
         raise ConfigError("key 'g' must be >= 0")

@@ -65,8 +65,8 @@ __all__ = [
 
 
 class DegenerateSteadyStateError(ValueError):
-    """The Liouvillian null space has dimension > 1 (no unique steady state): at g = 0, or
-    when no decay links the two driven pi pairs (the four-level scheme at gamma = 0)."""
+    """The Liouvillian null space has dimension > 1 (no unique steady state): on the four-level
+    scheme at g = 0, or at gamma = 0, where no decay links the two driven pi pairs."""
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -193,10 +193,8 @@ def two_level_steady_state_analytic(params: DriveDecayParams) -> np.ndarray:
 
     Uses the total half-rate gamma = gamma0 + gamma as the single decay
     channel's half-rate: rho_ee = g^2/(2 g^2 + gamma^2) and
-    rho_eg = -i g gamma/(2 g^2 + gamma^2).
+    rho_eg = -i g gamma/(2 g^2 + gamma^2); at g = 0 it is the ground state.
     """
-    if params.g <= 0:
-        raise ValueError("closed-form steady state requires g > 0")
     g = params.g
     gam = params.total
     denom = 2.0 * g**2 + gam**2

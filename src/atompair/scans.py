@@ -56,7 +56,7 @@ from .atom_model import (
     pi_polarization,
     sigma_polarization,
 )
-from .correlations import _correlations, _fringe_phase, _intensity, _traces
+from .correlations import _fringe_phase, _intensity, _pair_correlations, _traces
 from .exact_oracle import _g2_exact_stack
 
 __all__ = [
@@ -191,11 +191,8 @@ def g2_scan(
     direction, detector 2 sweeping the scan plane, both analyzers held fixed."""
     angles, n_2, (det_1, det_2) = _scan_grid(plane, n_points, polarization_1, polarization_2)
     phases = _fringe_phase(geometry, det_1.n, n_2)
-    fact, gam2, norm, witness = _correlations(
-        *_traces(scheme, rho, det_1.epsilon, det_2.epsilon),
-        phases,
-        _fringe_phase(geometry, det_1.n),
-        _fringe_phase(geometry, n_2),
+    fact, gam2, norm, witness = _pair_correlations(
+        scheme, geometry, det_1.n, det_1.epsilon, n_2, det_2.epsilon, rho
     )
     return G2Scan(
         angles=angles,

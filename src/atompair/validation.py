@@ -44,6 +44,7 @@ from .correlations import (
 )
 from .dynamics import (
     DegenerateSteadyStateError,
+    QuantumJumpResult,
     build_liouvillian,
     liouvillian_residual,
     pure_state,
@@ -69,7 +70,7 @@ from .scans import (
     scan_direction,
 )
 
-__all__ = ["Check", "Group", "ValidationReport", "model_from_config", "run_validation"]
+__all__ = ["Check", "Group", "ValidationReport", "run_validation"]
 
 # the fixed analyzers of every scan below, resolved at the xy reference direction
 _N_REF = reference_direction("xy")
@@ -119,21 +120,6 @@ class ValidationReport:
                 for g in self.groups
             ],
         }
-
-
-def model_from_config(config: RunConfig):
-    """(scheme, params, geometry) for a run configuration.
-
-    The two-level scheme uses the total half-rate gamma0 + gamma as its
-    single decay half-rate, so closed forms keep the same Gamma.
-    """
-    params = DriveDecayParams(g=config.g, gamma0=config.gamma0, gamma=config.gamma)
-    if config.scheme == "two-level":
-        scheme = two_level_scheme(params.total)
-    else:
-        scheme = hg_level_scheme(params)
-    geometry = standard_geometry(config.separation_wavelengths, config.drive_direction)
-    return scheme, params, geometry
 
 
 def _random_params(rng: np.random.Generator) -> DriveDecayParams:
@@ -446,6 +432,15 @@ def _superposition_group(geometry) -> Group:
     return group
 
 
+def _population_pull(mc: QuantumJumpResult, reference: np.ndarray) -> float:
+    """Largest |MC - reference| population, in MC standard errors: inf where a level has zero
+    spread yet differs from the reference, 0 where it agrees exactly."""
+    diff = np.abs(np.diag(mc.rho).real - np.diag(reference).real)
+    spread = np.diag(mc.stderr)
+    pulls = np.divide(diff, spread, out=np.where(diff > 0, np.inf, 0.0), where=spread > 0)
+    return float(np.max(pulls))
+
+
 def _monte_carlo_group(config: RunConfig) -> Group:
     group = Group("monte_carlo")
     params = DriveDecayParams(g=config.g, gamma0=config.gamma0, gamma=config.gamma)
@@ -473,11 +468,7 @@ def _monte_carlo_group(config: RunConfig) -> Group:
             "pull is defined",
         )
         return group
-    analytic = steady_state_analytic(params)
-    worst_pull = 0.0
-    for i in range(4):
-        pull = abs(first.rho[i, i].real - analytic[i, i].real) / max(first.stderr[i, i], 1e-300)
-        worst_pull = max(worst_pull, pull)
+    worst_pull = _population_pull(first, steady_state_analytic(params))
     group.add(
         "populations_within_3_sigma",
         worst_pull < 3.0,

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from atompair.cli import _build_parser, _write_json, main
-from atompair.config import ConfigError, parse_config_text
+from atompair.config import ConfigError, RunConfig, parse_config_text
+from atompair.dynamics import QuantumJumpResult
+from atompair.validation import _population_pull
 
 from conftest import substitute_rejected_formula
 
@@ -67,6 +69,18 @@ class TestConfigParsing:
     def test_choice_validation(self):
         with pytest.raises(ConfigError, match="scan_plane"):
             parse_config_text("scan_plane = yz\n")
+
+    def test_every_key_parses_as_its_default(self):
+        # each default written out as a config line reads back as the same value and type
+        defaults = vars(RunConfig())
+        text = "".join(
+            f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+            for key, value in defaults.items()
+            if value is not None
+        )
+        config = parse_config_text(text + "pol_2_vector = 1, 0, 0, 0.5, 0, 0\n")
+        assert config == RunConfig(pol_2_vector=(1.0, 0.0, 0.0, 0.5, 0.0, 0.0))
+        assert all(type(getattr(config, k)) is type(v) for k, v in defaults.items() if v is not None)
 
 
 class TestExitCodes:
@@ -137,6 +151,21 @@ class TestExitCodes:
         assert main(["g2-scan", "--config", write_config(tmp_path, text)]) == 2
         err = capsys.readouterr().err
         assert f"key '{dark}'" in err and "two-level scheme" in err
+
+    @pytest.mark.parametrize("command", ["intensity-scan", "g2-scan"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scan_plane = xz\npol_1 = pi\n",  # pi is the quantization axis, here along +z
+            "pol_1 = custom\npol_1_vector = 0, 0, 1, 0, 0, 0\n",  # +y, along the reference
+        ],
+    )
+    def test_undefined_analyzer_is_2(self, tmp_path, capsys, command, text):
+        path = write_config(tmp_path, text + "scan_points = 8\n")
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'pol_1': ")
+        assert "the transverse projection vanishes" in err
 
     def test_config_error_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "nonsense_key = 1\n")
@@ -296,6 +325,19 @@ class TestSteadyStateCommand:
         assert "+0.166667" in out  # analytic and numeric columns
         assert "max |numeric - analytic|" in out
 
+    def test_two_level_zero_drive(self, tmp_path, capsys):
+        # the undriven two-level atom has a unique steady state: every route gives the ground state
+        cfg = write_config(tmp_path, "scheme = two-level\ng = 0\n" + FAST_MC)
+        out = str(tmp_path / "ss.csv")
+        assert main(["steady-state", "--config", cfg, "--output", out]) == 0
+        assert "max population pull       = 0.00 standard errors" in capsys.readouterr().out
+        _, header, rows = read_csv(out)
+        table = {cells[0]: [float(c) for c in cells[1:]] for cells in rows}
+        assert sorted(table) == ["rho11", "rho12", "rho22"]
+        for label, expected in (("rho11", 0.0), ("rho12", 0.0), ("rho22", 1.0)):
+            for name in ("analytic_re", "numeric_re", "mc_re"):
+                assert table[label][header.index(name) - 1] == pytest.approx(expected, abs=1e-12)
+
     def test_writes_file(self, tmp_path):
         cfg = write_config(tmp_path, FAST_MC)
         out = str(tmp_path / "ss.csv")
@@ -335,6 +377,16 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert out.endswith("}\n")
         assert "wrote" not in out
+
+    def test_no_jumps_reads_infinite_pull(self, tmp_path, capsys):
+        # at g = 0.001 no trajectory jumps in 20/Gamma: every population has zero spread
+        cfg = write_config(tmp_path, "g = 0.001\nn_traj = 20\nt_total = 20\n")
+        assert main(["validate", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert "mc_jumps_per_traj = 0.00" in out
+        assert "FAIL  monte_carlo.populations_within_3_sigma: max |population pull| = inf " in out
+        assert main(["steady-state", "--config", cfg]) == 0
+        assert "max population pull       = inf standard errors" in capsys.readouterr().out
 
     def test_has_no_fault_injection_switch(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -376,6 +428,18 @@ class TestJsonLayout:
         assert payload["columns"]["empty"] == []
         assert payload["columns"]["single"] == [1.0 / 3.0]
         assert math.isnan(payload["metadata"]["alpha"])
+
+
+def test_population_pull():
+    reference = np.diag([0.25, 0.75]).astype(complex)
+    pull = lambda rho, stderr: _population_pull(
+        QuantumJumpResult(np.diag(rho).astype(complex), np.diag(stderr), 1, 1, 0), reference
+    )
+    assert pull([0.25, 0.75], [0.0, 0.0]) == 0.0  # no spread, exact agreement
+    assert pull([0.0, 1.0], [0.0, 0.0]) == math.inf  # no spread, yet off the reference
+    assert pull([0.0, 1.0], [0.5, 0.0]) == math.inf
+    assert pull([0.5, 0.5], [0.1, 0.125]) == 2.5
+    assert pull([0.25, 0.75], [math.inf, math.inf]) == 0.0  # one trajectory: no pull
 
 
 def test_parser_shared_across_calls(tmp_path, capsys):

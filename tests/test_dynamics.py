@@ -203,6 +203,14 @@ class TestSteadyState:
         numeric = steady_state_numeric(build_liouvillian(two_level_scheme(p.total), p))
         assert np.max(np.abs(numeric - two_level_steady_state_analytic(p))) < 1e-12
 
+    def test_two_level_closed_form_at_zero_drive(self):
+        # undriven, the two-level state is unique: the ground state, whatever the route
+        p = DriveDecayParams(g=0.0, gamma0=0.2, gamma=0.9)
+        analytic = two_level_steady_state_analytic(p)
+        numeric = steady_state_numeric(build_liouvillian(two_level_scheme(p.total), p))
+        assert np.array_equal(analytic, np.diag([0.0, 1.0]))
+        assert np.max(np.abs(numeric - analytic)) < 1e-12
+
 
 class TestEvolve:
     def test_branching_ratio(self):

@@ -13,9 +13,10 @@ the working directory, while steady-state only prints its table and validate
 only its lines.  validate's report is JSON whatever ``format`` says.
 
 Exit codes: 0 success, 1 validation or runtime failure, 2 configuration
-error, which includes an analyzer left undefined at the reference direction
-(``pi`` or a ``custom`` vector along it) and, in g2-scan, one that sees no
-light from the scheme.
+error, which includes an analyzer the command reads (intensity-scan reads
+only ``pol_1``) left undefined at the reference direction (``pi`` or a
+``custom`` vector along it) and, in g2-scan, one that sees no light from the
+scheme.
 
 CSV writes every float with 17 significant digits (``.17g``) and JSON writes
 its shortest round-trip ``repr``; either way repeated runs with the same
@@ -132,12 +133,14 @@ def _model_from_config(config: RunConfig):
     return scheme, params, geometry
 
 
-def _scan_inputs(config: RunConfig):
-    """Model, analyzer vectors and the steady state a scan command scans."""
+def _scan_inputs(config: RunConfig, analyzers: tuple[int, ...]):
+    """Model, the vectors of the analyzers the command reads (1 for pol_1, 2 for pol_2) and the
+    steady state a scan command scans."""
     scheme, params, geometry = _model_from_config(config)
     n_ref = reference_direction(config.scan_plane)
     eps = []
-    for which, kind in ((1, config.pol_1), (2, config.pol_2)):
+    for which in analyzers:
+        kind = getattr(config, f"pol_{which}")
         try:
             eps.append(resolve_polarization(kind, n_ref, config.polarization_vector(which)))
         except ValueError as exc:
@@ -191,7 +194,7 @@ def cmd_steady_state(config: RunConfig) -> int:
 
 
 def cmd_intensity_scan(config: RunConfig) -> int:
-    scheme, params, geometry, eps_1, _, rho = _scan_inputs(config)
+    scheme, params, geometry, eps_1, rho = _scan_inputs(config, (1,))
     scan = intensity_scan(
         scheme, geometry, eps_1, rho, plane=config.scan_plane, n_points=config.scan_points
     )
@@ -211,7 +214,7 @@ def cmd_intensity_scan(config: RunConfig) -> int:
 
 
 def cmd_g2_scan(config: RunConfig) -> int:
-    scheme, params, geometry, eps_1, eps_2, rho = _scan_inputs(config)
+    scheme, params, geometry, eps_1, eps_2, rho = _scan_inputs(config, (1, 2))
     for which, eps in ((1, eps_1), (2, eps_2)):
         if not np.any(lowering_coefficients(scheme, eps)):
             raise ConfigError(

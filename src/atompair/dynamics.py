@@ -217,15 +217,22 @@ class QuantumJumpResult:
     n_jumps: int  # jumps of all trajectories within the horizon
 
 
-# Buffered jumps per refill of a trajectory's draws: rng.random((n, 2)) returns the same
-# numbers as 2 n scalar calls, so the substreams and the draw order do not depend on it
-_DRAW_BLOCK = 16
+# Jumps per round: a stretch's restart level follows from the channel draws alone and its waiting
+# time from that level and its threshold, so each round takes every live trajectory through a
+# whole block of buffered draws (its levels, one batch of waiting times, one cumsum of restart
+# times) up to its first stretch that does not jump before t_total.  rng.random((n, 2)) returns
+# the same numbers as 2 n scalar calls, so the draw order does not depend on the block.  Groups
+# of at most _GROUP trajectories run their rounds in turn, which caps each round's arrays.
+_DRAW_BLOCK, _GROUP = 16, 128
 
 
-def _pair_blocks(scheme: LevelScheme, a: np.ndarray, levels: np.ndarray):
-    """Per level k: the excited and ground level (e, l) of the driven pair that holds k, and N =
-    a - mu, which maps that block into itself and squares to kappa^2 there; an undriven level is
-    its own block, e = l = k and N e_k = kappa = 0.  Any other structure raises ValueError."""
+def _pair_blocks(scheme: LevelScheme, generator, levels: np.ndarray):
+    """Per level k, from ``_generator``'s (a, uppers, lowers, rates): the levels (e, l) of the driven
+    pair that holds k; its column (G, c, kappa) for ``_no_jump``, a[e, e] = -G, a[e, l] = a[l, e] =
+    i c, kappa = sqrt(G^2/4 - c^2) or -omega for kappa = i omega; and the cumulative channel weights
+    at a jump over their total, rate_c |psi_upper_c|^2 = rate_c |psi_e|^2 on e's channels as only e
+    is populated then (0 if k cannot jump).  An undriven level is its own block, e = l = k, c = 0."""
+    a, uppers, _, rates = generator
 
     def linked(k):
         return [j for j in np.flatnonzero(a[k]) if j != k]
@@ -237,21 +244,33 @@ def _pair_blocks(scheme: LevelScheme, a: np.ndarray, levels: np.ndarray):
             if linked(e) != [l] or linked(l) != [e] or a[e, e] == 0:
                 raise ValueError(f"level {k} is not in exactly one driven excited-ground pair")
             excited[row], ground[row] = e, l
-    mu = (a[excited, excited] + a[ground, ground]) / 2
-    n = a - mu[:, None, None] * np.eye(len(a))
-    kappa = np.sqrt(np.einsum("rij,rji->ri", n, n)[np.arange(len(levels)), levels])  # (N^2)_kk
-    return excited, ground, mu, n, kappa
+    decay, coupling = -a[excited, excited].real, a[excited, ground].imag
+    square = decay**2 / 4 - coupling**2
+    weights = np.where(uppers == excited[:, None], rates, 0.0)
+    total = weights.sum(axis=1, keepdims=True)
+    form = np.array([decay, coupling, np.copysign(np.sqrt(abs(square)), square)])
+    return excited, ground, form, np.cumsum(weights, axis=1) / np.where(total > 0, total, 1.0)
 
 
-def _pair_propagated(mu, kappa, phi, n_phi, tau: np.ndarray) -> np.ndarray:
-    """expm(a tau) phi = e^{(mu + kappa) tau} [(1 + w)/2 phi + (1 - w)/(2 kappa) N phi], w =
-    e^{-2 kappa tau}, for phi in a block a = mu + N, N^2 = kappa^2, given n_phi = N phi and tau of
-    the batch shape.  With the principal root kappa, Re(mu + kappa) <= 0 and |w| <= 1, so nothing
-    overflows at any tau, overdamped, underdamped or critical (kappa = 0: the fraction is tau)."""
-    mu, kappa, tau = (np.asarray(x)[..., None] for x in (mu, kappa, tau))
-    sinhc = np.expm1(-2 * kappa * tau)
-    sinhc = np.divide(sinhc, -2 * kappa, out=tau.astype(complex), where=kappa != 0)
-    return np.exp((mu + kappa) * tau) * (phi + sinhc * (n_phi - kappa * phi))
+def _no_jump(form, tau, x, y):
+    """expm(A tau) (x, y), A = [[0, -c], [c, -G]] per column (G, c, kappa) of ``form``: the no-jump
+    map of x e_l + i y e_e in a pair of ``_pair_blocks``.  A = -G/2 + N, N^2 = kappa^2, so it is p +
+    s N, p = e^{-G tau/2} cosh(kappa tau), s = e^{-G tau/2} sinh(kappa tau)/kappa: for real kappa >=
+    0 via e^{(kappa - G/2) tau} <= 1 and w = e^{-2 kappa tau}, which cannot overflow (s = tau e^{-G
+    tau/2} at the critical kappa = 0), else cos and sin/omega.  A batch of one kind takes one branch."""
+    decay, coupling, kappa = form
+    oscillating = kappa < 0
+    if oscillating.all():  # kappa = i omega
+        fade, angle = np.exp(-decay / 2 * tau), -kappa * tau
+        p, s = fade * np.cos(angle), fade * np.sin(angle) / -kappa
+    elif not oscillating.any():
+        fade, gone = np.exp((kappa - decay / 2) * tau), -np.expm1(-2 * kappa * tau)  # gone = 1 - w
+        p, s = fade * (1 - gone / 2), fade * np.divide(gone, 2 * kappa, out=tau + 0 * gone, where=kappa != 0)
+    else:  # rows of both kinds: each takes its own branch
+        under = _no_jump(np.array([decay, coupling, np.where(oscillating, kappa, -1.0)]), tau, x, y)
+        over = _no_jump(np.array([decay, coupling, np.where(oscillating, 0.0, kappa)]), tau, x, y)
+        return tuple(np.where(oscillating, u, o) for u, o in zip(under, over))
+    return p * x + s * (decay / 2 * x - coupling * y), p * y + s * (coupling * x - decay / 2 * y)
 
 
 def quantum_jump_estimate(
@@ -270,27 +289,26 @@ def quantum_jump_estimate(
     Sec. IV; cf. Dalibard, Castin & Molmer, PRL 68, 580 (1992).  Every jump operator is
     |lower><upper|, so after a jump the state is a basis vector e_k and each trajectory is a
     renewal process: until the next jump it is E(tau) e_k, E(tau) = expm(a tau), whose squared
-    norm S_k(tau) is the survival function of the waiting time.  E(tau) e_k stays in the driven
-    excited-ground pair that holds k, where ``_pair_propagated`` gives it in closed form.  The
-    grid dt = 0.02/Gamma only brackets jumps: S_k(m dt) is tabulated per restart level, the jump
-    time is solved to machine precision inside its grid step, and the channel is drawn with
-    weights rate_c |psi_upper_c|^2 there.
+    norm S_k(tau) is the survival function of the waiting time.  In the driven pair (e, l) that
+    holds k, E(tau) e_k is x e_l + i y e_e up to a constant phase, with the real amplitudes of
+    ``_no_jump`` from (1, 0) if k = l and (0, 1) if k = e: S_k = x^2 + y^2 and -S_k' = 2 G y^2
+    (Cohen-Tannoudji & Dalibard, Europhys. Lett. 1, 441 (1986)).  The grid dt = 0.02/Gamma only
+    brackets jumps: (x, y)(m dt) is tabulated per restart level, and each jump time is solved to
+    machine precision from its bracket's amplitudes.  At a jump only e is populated, so the channel
+    is drawn from e's fixed rate table, exactly.
 
     Estimator: the exact time average of the normalized projector P = psi psi^dag / |psi|^2 over
     [t_burn, t_total], t_total = n_steps dt and t_burn = (n_steps - n_samples) dt, the first
     ``burn_fraction`` of the horizon.  By the renewal structure (Breuer & Petruccione, The Theory
     of Open Quantum Systems, OUP 2002, ch. 6) a stretch from level k contributes
     F_k(tau_b) - F_k(tau_a), F_k(tau) = int_0^tau P(E(s) e_k) ds, between its part's ends in the
-    window, in its own time tau.  On the pair of excited level e and ground level l, a[e, l] =
-    a[l, e] = i c and a[e, e] = -G; up to a constant phase E(tau) e_k = |psi| (cos t e_l + i sin
-    t e_e), with t' = c - G sin t cos t and d ln S_k / dtau = -2 G sin^2 t.  So F_ee = -ln S_k /
-    (2 G), F_ll = tau - F_ee and F_el = -F_le = i (c tau - (t(tau) - t(0))) / G, where t is read
-    from the state by atan2 and unwound to within pi of t(0) + sign(c) |Im kappa| tau: the
-    no-jump map preserves orientation, so t never strays further.  An undriven level stays put,
-    F_k = tau e_k e_k^T; a restart level in any other structure raises ValueError.  Each round
-    moves every live trajectory one jump ahead and adds its stretch, vectorized, so the cost
-    scales with the jumps.  Each entry's standard error is taken across the per-trajectory
-    averages.
+    window, in its own time tau.  With x + i y = |psi| e^{i t}, t' = c - G sin t cos t and
+    d ln S_k / dtau = -2 G sin^2 t, so F_ee = -ln S_k / (2 G), F_ll = tau - F_ee and F_el = -F_le
+    = i (c tau - (t(tau) - t(0))) / G, where t is read by atan2 and unwound to within pi of t(0)
+    + sign(c) |Im kappa| tau: the no-jump map preserves orientation, so t never strays further.
+    An undriven level stays put, F_k = tau e_k e_k^T; a restart level in any other structure
+    raises ValueError.  The three reals are summed per trajectory and restart level in stretch
+    order and put on the pair at the end; standard errors are taken across trajectories.
 
     Determinism: trajectory i draws only from its own substream of ``SeedSequence(seed)``,
     in a fixed order (the first threshold; per jump, the channel, then the next threshold),
@@ -313,115 +331,97 @@ def quantum_jump_estimate(
     if n_samples == 0:
         raise ValueError("no samples collected; decrease burn_fraction or increase t_total")
 
-    a, uppers, lowers, rates = _generator(scheme, params)
-    restart = np.unique(np.append(lowers, initial_level))
-    excited, ground, mu, n_pair, kappa = _pair_blocks(scheme, a, restart)
-    unit = np.eye(dim)[restart]  # e_k per restart row
-    # F_k's c = a[e, l] / i and G = -a[e, e] per row; G = inf on an undriven row zeroes F_ee, F_el
-    coupling = a[excited, ground].imag
-    half_decay = np.where(excited != ground, -a[excited, excited].real, np.inf)
-    rotation = np.sign(coupling) * abs(kappa.imag)
-
-    # table[searchsorted(restart, k), m] = E(m dt) e_k up to t_total, written on k's pair columns
-    table = np.zeros((len(restart), n_steps + 1, dim), dtype=complex)
-    for row, k in enumerate(restart):
-        cols = [excited[row], ground[row]]
-        table[row][:, cols] = _pair_propagated(
-            mu[row], kappa[row], unit[row, cols], n_pair[row, cols, k], dt * np.arange(n_steps + 1)
-        )
-    neg_survival = -np.einsum("lmi,lmi->lm", table, table.conj()).real
+    generator = _generator(scheme, params)
+    restart = np.unique(np.append(generator[2], initial_level))
+    excited, ground, form, cumulative = _pair_blocks(scheme, generator, restart)
+    # searchsorted(cumulative[row], draw, "right") picks the channel, following[pick] the next row
+    following = np.searchsorted(restart, np.append(generator[2], generator[2][-1]))
+    y0 = np.isin(restart, list(scheme.excited_levels)).astype(float)  # (x, y)(0) = (1 - y0, y0)
+    half_decay = np.where(excited != ground, form[0], np.inf)  # F's G: inf zeroes an undriven F_ee
+    rotation = np.sign(form[1]) * np.maximum(-form[2], 0.0)
+    table_x, table_y = _no_jump(form[:, :, None], dt * np.arange(n_steps + 1), 1 - y0[:, None], y0[:, None])
+    neg_survival = -(table_x**2 + table_y**2)
 
     def integrated(lev, tau) -> np.ndarray:
-        """F_k(tau) in closed form from the no-jump state E(tau) e_k."""
-        psi = _pair_propagated(mu[lev], kappa[lev], unit[lev], n_pair[lev, :, restart[lev]], tau)
-        rows, e, l = np.arange(len(lev)), excited[lev], ground[lev]
-        # psi_l + psi_e = |psi| exp(i (t(tau) - t(0))), whether k = l (t(0) = 0) or k = e
-        turn = np.angle(psi[rows, l] + psi[rows, e])
+        """(F_ee, F_ll, Im F_el)(tau) per row, in closed form from the no-jump amplitudes."""
+        x, y = _no_jump(form[:, lev], tau, 1 - y0[lev], y0[lev])
+        # t(tau) - t(0): the angle of x + i y, less pi/2 from e_e
+        turn = np.where(y0[lev] == 0, np.arctan2(y, x), np.arctan2(-x, y))
         turn += 2 * np.pi * np.round((rotation[lev] * tau - turn) / (2 * np.pi))
-        f_ee = -np.log(np.einsum("bi,bi->b", psi, psi.conj()).real) / (2 * half_decay[lev])
-        f_el = 1j * (coupling[lev] * tau - turn) / half_decay[lev]
-        out = np.zeros((len(lev), dim, dim), dtype=complex)
-        out[rows, e, e] = f_ee
-        out[rows, l, l] += tau - f_ee
-        out[rows, e, l] += f_el
-        out[rows, l, e] -= f_el
-        return out
-
-    def decay(psi):  # rate_c |psi_upper_c|^2: the channel weights, summing to -dS/dtau
-        return rates * np.abs(psi[:, uppers]) ** 2
+        f_ee = -np.log(x**2 + y**2) / (2 * half_decay[lev])
+        return np.column_stack([f_ee, tau - f_ee, (form[1, lev] * tau - turn) / half_decay[lev]])
 
     def crossing(rows, m, thresh):
-        """Times m dt + delta, delta in [0, dt], where ||E(delta) table[rows, m]||^2 = thresh,
-        and the states there: Newton from the linear interpolation of the bracketing survival
-        values, bisecting instead of any step that leaves the bracket or fails to halve the last."""
-        phi, s_lo, s_hi = table[rows, m], -neg_survival[rows, m], -neg_survival[rows, m + 1]
-        n_phi = np.einsum("bij,bj->bi", n_pair[rows], phi)
+        """Times m dt + delta, delta in [0, dt], where the survival from the tabulated (x, y)(m dt)
+        reaches thresh, and -dS/dtau = 2 G y^2 there: Newton from the linear interpolation of the
+        bracket, bisecting instead of any step that leaves it or fails to halve the last."""
+        pair, x, y = form[:, rows], table_x[rows, m], table_y[rows, m]
+        s_lo, s_hi = -neg_survival[rows, m], -neg_survival[rows, m + 1]
         tol = 4.0 * np.finfo(float).eps
         lo, hi = np.zeros_like(thresh), np.full_like(thresh, dt)
         delta = dt * (s_lo - thresh) / (s_lo - s_hi)
         prev_step, done = hi, np.zeros(thresh.shape, dtype=bool)
         for _ in range(200):
-            psi = _pair_propagated(mu[rows], kappa[rows], phi, n_phi, delta)
-            excess = np.einsum("bi,bi->b", psi, psi.conj()).real - thresh
+            x_d, y_d = _no_jump(pair, delta, x, y)
+            excess, slope = x_d**2 + y_d**2 - thresh, 2 * pair[0] * y_d**2
             lo, hi = np.where(excess >= 0, delta, lo), np.where(excess >= 0, hi, delta)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = -excess / decay(psi).sum(axis=1)
+                step = -excess / slope
             inside = (delta - step > lo) & (delta - step < hi)
             newton = inside & (2.0 * abs(step) <= abs(prev_step))
             step = np.where(newton, step, delta - (lo + hi) / 2)
             done |= (abs(excess) <= tol * thresh) | (abs(step) <= tol * dt)
             if done.all():
-                return m * dt + delta, psi
+                return m * dt + delta, slope
             delta, prev_step = np.where(done, delta, delta - step), step
         raise RuntimeError("jump-time root finding did not converge")
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
-    draws = np.empty((n_traj, _DRAW_BLOCK, 2))  # per jump: channel, threshold
-    used = np.full(n_traj, _DRAW_BLOCK)  # buffered jumps consumed
     row = np.full(n_traj, np.searchsorted(restart, initial_level))
     restarted = np.zeros(n_traj)  # the time of each trajectory's last jump
     thresholds = np.array([rng.random() for rng in rngs])
-    live = np.arange(n_traj)
-    acc = np.zeros((n_traj, dim, dim), dtype=complex)  # each trajectory's integral
+    block = _DRAW_BLOCK
+    acc = np.zeros((n_traj, len(restart), 3))  # per trajectory and restart row: the sum of its F
     n_jumps = 0
-    while live.size:
-        lev, thresh = row[live], thresholds[live]
-        end = n_steps * dt - restarted[live]  # t_total in each stretch's own time
-        cut = end - n_samples * dt  # t_burn there; F_k(cut) = 0 for cut <= 0
-        m = np.empty(live.size, dtype=int)  # first table index with survival below threshold
-        for level in np.unique(lev):
-            m[lev == level] = np.searchsorted(neg_survival[level], -thresh[lev == level], "right")
-        cand = np.flatnonzero((m - 1) * dt < end)  # brackets before t_total: m <= n_steps
-        tau, psi_jump = crossing(lev[cand], m[cand] - 1, thresh[cand])
-        jumped = tau <= end[cand]
-        cand, tau = cand[jumped], tau[jumped]
-        end[cand] = tau  # the stretch ends at the jump, else at t_total
-        ends = np.flatnonzero(end > np.maximum(cut, 0.0))
-        cuts = ends[cut[ends] > 0]
-        values = integrated(lev[np.append(ends, cuts)], np.append(end[ends], cut[cuts]))
-        acc[live[ends]] += values[: ends.size]
-        acc[live[cuts]] -= values[ends.size :]
-        weights = decay(psi_jump[jumped])
-        total = weights.sum(axis=1)
-        if np.any(total <= 0):
-            raise RuntimeError("survival reached the jump threshold with no decaying amplitude")
-        traj = live[cand]
-        for i in traj[used[traj] == _DRAW_BLOCK]:
-            draws[i], used[i] = rngs[i].random((_DRAW_BLOCK, 2)), 0
-        draw = draws[traj, used[traj]]
-        used[traj] += 1
-        # per row: searchsorted(cumsum(weights) / total, draw, side="right")
-        pick = (np.cumsum(weights, axis=1) / total[:, None] <= draw[:, :1]).sum(axis=1)
-        row[traj] = np.searchsorted(restart, lowers[np.minimum(pick, len(rates) - 1)])
-        restarted[traj] += tau
-        thresholds[traj] = draw[:, 1]
-        n_jumps += traj.size
-        live = traj
+    for live in np.array_split(np.arange(n_traj), -(-n_traj // _GROUP)):
+        while live.size:
+            draws = np.array([rngs[i].random((block, 2)) for i in live])  # per jump: channel, threshold
+            # each stretch's restart row: rows[:, j + 1] follows rows[:, j] by the j-th channel draw
+            picked = following[(cumulative[:, None, None, :] <= draws[None, :, :, :1]).sum(axis=-1)]
+            rows = np.repeat(row[live, None], block + 1, axis=1)
+            for j in range(block):
+                rows[:, j + 1] = picked[rows[:, j], np.arange(live.size), j]
+            lev, thresh = rows[:, :-1].ravel(), np.column_stack([thresholds[live], draws[:, :-1, 1]]).ravel()
+            m = np.empty(lev.size, dtype=int)  # first table index with survival below threshold
+            for level in np.unique(lev):
+                m[lev == level] = np.searchsorted(neg_survival[level], -thresh[lev == level], "right")
+            tau, slope = np.full(lev.size, np.inf), np.zeros(lev.size)
+            inside = np.flatnonzero(m <= n_steps)  # the survival crosses the threshold in the table
+            tau[inside], slope[inside] = crossing(lev[inside], m[inside] - 1, thresh[inside])
+            # each stretch's start, by the same additions as restart time += tau per jump
+            begun = np.cumsum(np.column_stack([restarted[live], tau.reshape(-1, block)]), axis=1)
+            end = n_steps * dt - begun[:, :-1].ravel()  # t_total in each stretch's own time
+            cut = end - n_samples * dt  # t_burn there; F_k(cut) = 0 for cut <= 0
+            jumped = ((m - 1) * dt < end) & (tau <= end)
+            held = np.logical_and.accumulate(jumped.reshape(-1, block), axis=1)
+            reached = np.column_stack([np.ones(live.size, dtype=bool), held[:, :-1]]).ravel()
+            if np.any(slope[reached & jumped] <= 0):
+                raise RuntimeError("survival reached the jump threshold with no decaying amplitude")
+            n_jumps += int(np.sum(reached & jumped))
+            end = np.where(jumped, tau, end)  # the stretch ends at the jump, else at t_total
+            ends = np.flatnonzero(reached & (end > np.maximum(cut, 0.0)))
+            cuts = ends[cut[ends] > 0]
+            values = integrated(lev[np.append(ends, cuts)], np.append(end[ends], cut[cuts]))
+            gain = values[: ends.size]
+            gain[np.searchsorted(ends, cuts)] -= values[ends.size :]
+            np.add.at(acc, (live[ends // block], lev[ends]), gain)  # in stretch order
+            more = held[:, -1]  # the whole block jumped
+            live = live[more]
+            row[live], thresholds[live], restarted[live] = rows[more, -1], draws[more, -1, 1], begun[more, -1]
 
-    per_traj = acc / (n_samples * dt)
-    rho = per_traj.mean(axis=0)
-    if n_traj > 1:
-        stderr = per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj)
-    else:
-        stderr = np.full((dim, dim), np.inf)
-    return QuantumJumpResult(rho, stderr.real, n_traj, n_samples, n_jumps)
+    acc /= n_samples * dt  # each row's F_ee, F_ll, F_el and F_le = -F_el go onto its pair
+    per_traj = np.zeros((n_traj, dim, dim), dtype=complex)
+    e, l = np.stack([excited, ground, excited, ground], 1), np.stack([excited, ground, ground, excited], 1)
+    np.add.at(per_traj, (slice(None), e, l), acc[..., [0, 1, 2, 2]] * np.array([1, 1, 1j, -1j]))
+    stderr = per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else np.full((dim, dim), np.inf)
+    return QuantumJumpResult(per_traj.mean(axis=0), stderr.real, n_traj, n_samples, n_jumps)

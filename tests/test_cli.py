@@ -5,9 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from atompair import (
+    Detector,
+    DriveDecayParams,
+    hg_level_scheme,
+    intensity_exact,
+    sigma_polarization,
+    standard_geometry,
+    steady_state_analytic,
+)
 from atompair.cli import _build_parser, _write_json, main
 from atompair.config import ConfigError, RunConfig, parse_config_text
 from atompair.dynamics import QuantumJumpResult
+from atompair.scans import reference_direction, scan_direction
 from atompair.validation import _population_pull
 
 from conftest import substitute_rejected_formula
@@ -204,6 +214,25 @@ class TestIntensityScanCommand:
         metadata, _, rows = read_csv(out)
         assert [float(cells[2]) for cells in rows] == [0.0] * 8
         assert float(metadata["visibility"]) == 0.0
+
+    def test_unread_second_analyzer_is_not_resolved(self, tmp_path):
+        # pol_2 keeps its default pi, undefined at the xz reference direction; intensity-scan
+        # reads only pol_1, so the sigma scan runs and matches the oracle point by point
+        cfg = write_config(tmp_path, "scan_plane = xz\npol_1 = sigma\nscan_points = 8\n")
+        out = tmp_path / "scan.json"
+        assert main(["intensity-scan", "--config", cfg, "--output", str(out), "--format", "json"]) == 0
+        columns = json.loads(out.read_text())["columns"]
+        config = RunConfig()
+        p = DriveDecayParams(g=config.g, gamma0=config.gamma0, gamma=config.gamma)
+        scheme, geometry = hg_level_scheme(p), standard_geometry(config.separation_wavelengths, config.drive_direction)
+        rho = steady_state_analytic(p)
+        eps = sigma_polarization(reference_direction("xz"))
+        exact = [
+            intensity_exact(scheme, geometry, Detector(scan_direction("xz", theta), eps), np.kron(rho, rho))
+            for theta in columns["angle"]
+        ]
+        assert len(exact) == 8
+        np.testing.assert_allclose(columns["intensity"], exact, rtol=1e-12, atol=0)
 
     def test_pi_visibility_third(self, tmp_path):
         cfg = write_config(tmp_path, "pol_1 = pi\n")

@@ -22,12 +22,13 @@ from atompair import (
     two_level_scheme,
     two_level_steady_state_analytic,
 )
+from atompair import dynamics
 from atompair.atom_model import Z_HAT
 from atompair.dynamics import (
     _DRAW_BLOCK,
     _generator,
+    _no_jump,
     _pair_blocks,
-    _pair_propagated,
     drive_hamiltonian,
     unvectorize,
     vectorize,
@@ -289,6 +290,14 @@ class TestQuantumJump:
         assert np.array_equal(a.rho, b.rho)
         assert np.array_equal(a.stderr, b.stderr)
 
+    def test_trajectory_groups_leave_the_estimate_unchanged(self, scheme, params, monkeypatch):
+        # trajectories are independent, so groups of 7 (the last one shorter) give the same bits
+        whole = quantum_jump_estimate(scheme, params, n_traj=20, t_total=30.0, seed=12)
+        monkeypatch.setattr(dynamics, "_GROUP", 7)
+        grouped = quantum_jump_estimate(scheme, params, n_traj=20, t_total=30.0, seed=12)
+        assert np.array_equal(whole.rho, grouped.rho) and np.array_equal(whole.stderr, grouped.stderr)
+        assert whole.n_jumps == grouped.n_jumps > 0
+
     def test_stderr_scales_with_trajectories(self, scheme, params):
         small = quantum_jump_estimate(scheme, params, n_traj=64, t_total=40.0, seed=21)
         large = quantum_jump_estimate(scheme, params, n_traj=256, t_total=40.0, seed=22)
@@ -328,6 +337,13 @@ class TestQuantumJump:
             quantum_jump_estimate(scheme, p, n_traj=2, t_total=5.0, seed=1)
 
 
+def expm_columns(a, taus):
+    """expm(a tau) for each tau, as e^{s tau} expm((a - s) tau) for the scalar s = tr(a)/d:
+    unshifted, scipy errs by 1.8e-11 at the critical block and tau = 800/Gamma."""
+    shift = np.trace(a) / len(a)
+    return [np.exp(shift * t) * expm((a - shift * np.eye(len(a))) * t) for t in taus]
+
+
 class TestPairPropagator:
     @pytest.mark.parametrize("two_level", [False, True])
     @pytest.mark.parametrize("g", [0.0, 0.05, 0.5, 1.0, 1e3, 1e4])
@@ -336,25 +352,66 @@ class TestPairPropagator:
         # trajectory may start from; g = 0.5 at gamma0 = gamma = 1/2 is the critical block
         p = DriveDecayParams(g=g, gamma0=0.5, gamma=0.5)
         scheme = two_level_scheme(p.total) if two_level else hg_level_scheme(p)
-        a = _generator(scheme, p)[0]
+        generator = _generator(scheme, p)
+        a, uppers, _, rates = generator
         dim = scheme.n_levels
-        _, _, mu, n, kappa = _pair_blocks(scheme, a, np.arange(dim))
-        assert np.all(kappa == 0) == (g in (0.0, 0.5))
+        excited, ground, form, _ = _pair_blocks(scheme, generator, np.arange(dim))
+        assert np.all(form[2] == 0) == (g == 0.5)  # critical
+        assert np.all(form[2] < 0) == (g >= 1.0)  # underdamped: kappa = i omega
         dt = 0.02 / p.total
         taus = np.array([0.0, dt / 3, dt, 37 * dt, 800.0 / p.total])
-        # expm(a tau) = e^{s tau} expm((a - s) tau) for the scalar s = tr(a)/d: unshifted, scipy
-        # errs by 1.8e-11 at the critical block and tau = 800/Gamma, while the closed form is exact
-        shift = np.trace(a) / dim
-        columns = [np.exp(shift * t) * expm((a - shift * np.eye(dim)) * t) for t in taus]
+        columns = expm_columns(a, taus)
         # past 1e-13 the bound grows by 2 eps per unit of ||a tau||_1, the exponent and phase
         # that both routes round: at g = 1e4 Gamma, tau = 37 dt (7400 rad), unshifted scipy is
         # 2.5e-13 off a 40-digit evaluation, and the closed form 3.1e-13
         bound = 1e-13 + 2 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * taus
         for k in range(dim):
-            got = _pair_propagated(mu[k], kappa[k], np.eye(dim)[k], n[k, :, k], taus)
-            for t, expected, state, tol in zip(taus, columns, got, bound):
-                norm = np.hypot.reduce(np.abs(expected[:, k]))  # no underflow at 1e-174
-                assert np.max(np.abs(state - expected[:, k])) <= tol * norm, (k, t)
+            from_excited = k in scheme.excited_levels
+            # E(tau) e_k = phase (x e_l + i y e_e), from (x, y) = (0, 1) and phase -i if k = e
+            start = np.array([0.0, 1.0] if from_excited else [1.0, 0.0])
+            phase = -1j if from_excited else 1.0
+            x, y = _no_jump(form[:, [k]], taus, *start[:, None])
+            assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+            for t, expected, x_t, y_t, tol in zip(taus, columns, x, y, bound):
+                psi = expected[:, k]
+                norm = np.hypot.reduce(np.abs(psi))  # no underflow at 1e-174
+                state = np.zeros(dim, dtype=complex)
+                state[ground[k]] += phase * x_t
+                state[excited[k]] += phase * 1j * y_t
+                assert np.max(np.abs(state - psi)) <= tol * norm, (k, t)
+                # -dS/dtau = sum_c rate_c |psi_upper_c|^2 = 2 G |psi_e|^2
+                loss = rates @ np.abs(psi[uppers]) ** 2
+                assert abs(2 * form[0, k] * y_t**2 - loss) <= 4 * form[0, k] * tol * norm**2, (k, t)
+                # the turn atan2((x + i y) / (x0 + i y0)) is the angle of psi_l + psi_e
+                turn = np.arctan2(y_t * start[0] - x_t * start[1], x_t * start[0] + y_t * start[1])
+                lag = turn - np.angle(psi[ground[k]] + psi[excited[k]])
+                assert abs(np.angle(np.exp(1j * lag))) <= 2 * tol, (k, t)
+
+
+class TestChannelTable:
+    @pytest.mark.parametrize("two_level", [False, True])
+    @pytest.mark.parametrize("g", [0.05, 0.5, 1.0, 1e3])
+    def test_matches_weights_of_the_expm_state(self, g, two_level):
+        # unequal pi and sigma rates, so the cumulative weights are not all 1/2 and 1
+        p = DriveDecayParams(g=g, gamma0=0.3, gamma=0.7)
+        scheme = two_level_scheme(p.total) if two_level else hg_level_scheme(p)
+        generator = _generator(scheme, p)
+        a, uppers, _, rates = generator
+        dim = scheme.n_levels
+        table = _pair_blocks(scheme, generator, np.arange(dim))[3]
+        taus = np.array([1 / 3, 1.0, 7.4, 20.0, 53.0]) * 0.02 / p.total
+        for tau, propagator in zip(taus, expm_columns(a, taus)):
+            for k in range(dim):  # every level a trajectory can restart or start on
+                weights = rates * np.abs(propagator[uppers, k]) ** 2
+                expected = np.cumsum(weights) / weights.sum()
+                assert np.max(np.abs(table[k] - expected)) <= 1e-15, (k, tau)
+
+    def test_level_that_cannot_jump_reads_zero(self):
+        p = DriveDecayParams(g=0.0, gamma0=0.5, gamma=0.5)
+        scheme = hg_level_scheme(p)
+        table = _pair_blocks(scheme, _generator(scheme, p), np.arange(4))[3]
+        for k in sorted(scheme.ground_levels):
+            assert np.all(table[k] == 0)
 
 
 def reference_jump_sampler(scheme, params, n_traj, t_total, seed, burn_fraction, initial_level):
@@ -445,6 +502,8 @@ class TestQuantumJumpReference:
         "excited_start_second_pair": (0.3, 0.5, 0.5, False, {"initial_level": 2}),
         # the first stretch starts in the window, so F_k(0) = 0 must hold from an excited level
         "excited_start_no_burn_in": (1.0, 0.3, 0.7, False, {"initial_level": 0, "burn_fraction": 0.0}),
+        # a restart row with e = l = k that decays once, to a ground level that never jumps
+        "undriven_excited_start": (0.0, 0.5, 0.5, False, {"initial_level": 0}),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -464,6 +523,36 @@ class TestQuantumJumpReference:
             assert max(jumps) > _DRAW_BLOCK
         if case == "burn_in_inside_stretch":
             assert cut_after_jump > 0
+
+    def test_pairs_of_both_kinds(self):
+        # an overdamped and an underdamped pair linked by undriven decay, so a batch of stretches
+        # mixes both branches of the no-jump map
+        x_hat = np.array([1.0, 0.0, 0.0])
+        scheme = LevelScheme(
+            n_levels=4,
+            transitions=(
+                Transition(upper=0, lower=1, dipole=Z_HAT, decay_rate=3.0, driven=True),
+                Transition(upper=2, lower=3, dipole=Z_HAT, decay_rate=0.2, driven=True),
+                Transition(upper=0, lower=3, dipole=x_hat, decay_rate=0.5),
+                Transition(upper=2, lower=1, dipole=x_hat, decay_rate=0.3),
+            ),
+            excited_levels=frozenset({0, 2}),
+        )
+        p = DriveDecayParams(g=0.6, gamma0=0.5, gamma=0.5)
+        form = _pair_blocks(scheme, _generator(scheme, p), np.arange(4))[2]
+        assert form[2, 0] == form[2, 1] > 0 > form[2, 2] == form[2, 3]
+        taus = np.linspace(0.0, 5.0, 7)
+        start = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])[:, :, None]
+        mixed = _no_jump(form[:, :, None], taus, *start)
+        for k in range(4):
+            alone = _no_jump(form[:, [k], None], taus, *start[:, [k]])
+            assert np.array_equal(np.array(mixed)[:, k], np.array(alone)[:, 0])
+        kwargs = {"t_total": 10.0, "burn_fraction": 0.1, "initial_level": 1}
+        res = quantum_jump_estimate(scheme, p, n_traj=5, seed=31, **kwargs)
+        rho, stderr, jumps, _ = reference_jump_sampler(scheme, p, 5, seed=31, **kwargs)
+        assert np.max(np.abs(res.rho - rho)) <= 1e-9
+        assert np.max(np.abs(res.stderr - stderr)) <= 1e-9
+        assert res.n_jumps == sum(jumps) > 0
 
     def test_single_trajectory_has_infinite_stderr(self, scheme, params):
         res = quantum_jump_estimate(scheme, params, n_traj=1, t_total=10.0, seed=3)

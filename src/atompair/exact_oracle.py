@@ -10,10 +10,11 @@ with c the single-atom lowering-coefficient matrix of the detector, and
 observables are plain operator traces against an arbitrary 16x16 (or 4x4
 for two-level atoms) pair density matrix.  The coincidence, conditioned-state
 and intensity kernels take stacks of detectors, one direction and analyzer
-per row for each detector, and work ``_BLOCK`` rows at a time: a scan's
-second-detector directions, or the random detector pairs of ``validate``,
-which passes its pairs one block per call.  One detector pair is the stack
-of one, so the public point functions run the same kernels.  Agreement with
+per row for each detector, and work ``_BLOCK`` rows at a time on the random
+detector pairs of ``validate``; the public point functions run them on a
+stack of one.  A scan moves only the second detector's direction, so
+:func:`_g2_exact_scan` conditions the pair state on the first detector once
+and reduces the second to a 2x2 form in the two atoms' phases.  Agreement with
 the factorized formulas on product states is the central consistency theorem
 of the package; on entangled states the factorized formulas are wrong by
 design and the values computed here are the truth.
@@ -36,8 +37,8 @@ __all__ = [
 ]
 
 
-#: detector rows per stacked evaluation; bounds the temporaries of a scan or of a batch of
-#: detector pairs to a few (BLOCK, d^2, d^2) arrays whatever its length
+#: detector rows per stacked evaluation; bounds the temporaries of a batch of detector pairs
+#: to a few (BLOCK, d^2, d^2) arrays whatever its length
 _BLOCK = 16
 
 
@@ -146,6 +147,25 @@ def _g2_exact_stack(
         m = _pair_field_matrices(scheme, geometry, n_2_rows, epsilon_2_rows) @ e_1_rows
         rates += _real_traces(np.sum(m.conj() * (m @ rho_ab), axis=(1, 2)), "coincidence rate")
     return np.array(rates)
+
+
+def _g2_exact_scan(
+    scheme: LevelScheme, geometry: Geometry, det_1: Detector, n_2: np.ndarray, epsilon_2, rho_ab
+) -> np.ndarray:
+    """:func:`g2_exact` of det_1 with a second detector of analyzer epsilon_2 at every row of n_2.
+    With sigma = E1^(+) rho_AB E1^(-) and E2^(+)(n) = phi_A(n) kron(c2, 1) + phi_B(n) kron(1, c2)
+    = sum_k phi_k(n) B_k, the rate is sum_km phi_k conj(phi_m) Q_km, Q_km = tr(B_k sigma B_m^dag):
+    real at every phase pair exactly when the 2x2 form Q is Hermitian."""
+    rho_ab = _check_pair_state(scheme, rho_ab)
+    e_1 = _pair_field_matrices(scheme, geometry, det_1.n[None], det_1.epsilon[None])[0]
+    c_2, eye = lowering_coefficients(scheme, epsilon_2), np.eye(scheme.n_levels)
+    b = np.stack([np.kron(c_2, eye), np.kron(eye, c_2)])
+    q = np.einsum("kij,mij->km", b @ (e_1 @ rho_ab @ e_1.conj().T), b.conj())
+    asymmetry = np.max(np.abs(q - q.conj().T))
+    if asymmetry > 1e-10 * max(1.0, np.max(np.abs(q))):
+        raise ValueError(f"coincidence rate should be real, got non-Hermitian part {asymmetry:.3e}")
+    phi = np.stack([_geometric_phases(geometry, n_2, r) for r in (geometry.r_a, geometry.r_b)], 1)
+    return np.einsum("nk,km,nm->n", phi, q, phi.conj()).real
 
 
 @dataclass(frozen=True, eq=False)

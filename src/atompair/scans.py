@@ -57,7 +57,7 @@ from .atom_model import (
     sigma_polarization,
 )
 from .correlations import _fringe_phase, _intensity, _pair_correlations, _traces
-from .exact_oracle import _g2_exact_stack
+from .exact_oracle import _g2_exact_scan
 
 __all__ = [
     "scan_angles",
@@ -219,7 +219,7 @@ def g2_exact_scan(
 ) -> np.ndarray:
     """G2 of the pair state rho (x) rho from the product-space oracle over the grid
     of :func:`g2_scan`: the independent route its factorized column is compared
-    against, evaluated as stacks of pair field operators."""
+    against: the pair state conditioned on detector 1 and detector 2's 2x2 form in
+    the atoms' phases are built once, and the scan's phases enter as one array."""
     _, n_2, (det_1, det_2) = _scan_grid(plane, n_points, polarization_1, polarization_2)
-    rows = (det_1.n[None], det_1.epsilon[None], n_2, det_2.epsilon[None])
-    return _g2_exact_stack(scheme, geometry, *rows, np.kron(rho, rho))
+    return _g2_exact_scan(scheme, geometry, det_1, n_2, det_2.epsilon, np.kron(rho, rho))

@@ -108,6 +108,23 @@ def test_oracle_group_catches_a_perturbed_conditioned_route(monkeypatch):
     assert results == {"factorized_matches_exact": True, "conditioned_state_identity": False}
 
 
+def test_superposition_group_catches_a_perturbed_scan_oracle(monkeypatch):
+    kernel = exact_oracle._g2_exact_scan
+
+    def perturbed(scheme, geometry, det_1, n_2, epsilon_2, rho_ab):
+        # shifting every n_2 by half a wavelength over the separation flips the sign of the
+        # cross term 2 Re(phi_A conj(phi_B) Q_AB) and keeps Q_AA + Q_BB, so the difference of
+        # the two columns is twice the cross term
+        s = geometry.separation
+        flipped = kernel(scheme, geometry, det_1, n_2 + 0.5 * s / (s @ s), epsilon_2, rho_ab)
+        values = kernel(scheme, geometry, det_1, n_2, epsilon_2, rho_ab)
+        return values + 0.5e-6 * (values - flipped)
+
+    assert (exact_oracle, "_g2_exact_scan") in patch_aliases(monkeypatch, kernel, perturbed)
+    results = _check_results(_superposition_group(GEOMETRY))
+    assert results == {"fringe_amplitude_tracks_dipole": True, "excited_pair_contrast": False}
+
+
 def test_oracle_and_normalized_groups_make_no_per_point_calls(monkeypatch):
     # the oracle group evaluates its 5 x 50 pairs as stacks of at most _BLOCK pairs, and the
     # normalized group its 72 closed-form points as one array

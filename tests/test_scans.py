@@ -93,8 +93,9 @@ def test_g2_scan_never_reaches_the_oracle(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("g2_scan called the product-space oracle")
 
-    # the point query and the stacked evaluation that g2_exact_scan goes through
-    for target in (exact_oracle.g2_exact, exact_oracle._g2_exact_stack):
+    # the point query, the stacked evaluation of detector pairs and the scan kernel that
+    # g2_exact_scan goes through
+    for target in (exact_oracle.g2_exact, exact_oracle._g2_exact_stack, exact_oracle._g2_exact_scan):
         assert (exact_oracle, target.__name__) in patch_aliases(monkeypatch, target, refuse)
     scheme = SCHEMES["four-level"]
     rho = steady_state_numeric(build_liouvillian(scheme, PARAMS))
@@ -118,7 +119,8 @@ def test_scans_reject_an_analyzer_that_is_not_a_unit_vector(scan, analyzer):
             scan(scheme, GEOMETRY, *analyzers, rho)
 
 
-# 15, 16 and 17 points straddle one evaluation block of the stacked oracle
+# 15, 16 and 17 points straddle one evaluation block of the stacked oracle behind g2_exact;
+# g2_exact_scan runs in no blocks
 @pytest.mark.parametrize("n_points", [2, 15, 16, 17, 361])
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
 def test_stacked_oracle_matches_per_point_formula(scheme_name, n_points):
@@ -136,6 +138,37 @@ def test_stacked_oracle_matches_per_point_formula(scheme_name, n_points):
         assert column.shape == (n_points,)
         assert np.max(np.abs(column - expected)) <= 1e-15 * scale
         assert np.max(np.abs(points - expected)) <= 1e-15 * scale
+
+
+def random_entangled_pair_state(rng, d):
+    """Rank-2 random pair state, checked entangled by a negative partial transpose."""
+    amplitudes = rng.normal(size=(d * d, 2)) + 1j * rng.normal(size=(d * d, 2))
+    rho_ab = amplitudes @ amplitudes.conj().T
+    partial_transpose = rho_ab.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    assert np.min(np.linalg.eigvalsh(partial_transpose)) < 0
+    return rho_ab / np.trace(rho_ab).real
+
+
+@pytest.mark.parametrize("plane", ["xy", "xz"])
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+def test_scan_kernel_matches_per_point_formula_on_any_pair_state(scheme_name, plane):
+    # the kernel takes any pair state, not only rho (x) rho; the ground-state pair is dark, so
+    # it must return zeros where the conditioned-state route raises on its zero detection rate
+    scheme = SCHEMES[scheme_name]
+    d = scheme.n_levels
+    ground = np.zeros((d * d, d * d), dtype=complex)
+    ground[d + 1, d + 1] = 1.0  # |1> (x) |1>, ground level 1 in both schemes
+    directions = scan_direction(plane, scan_angles(37))
+    entangled = random_entangled_pair_state(np.random.default_rng(29), d)
+    for eps_1, eps_2 in ANALYZER_PAIRS:
+        det_1 = Detector(reference_direction(plane), eps_1)
+        column = exact_oracle._g2_exact_scan(scheme, GEOMETRY, det_1, directions, eps_2, entangled)
+        expected = np.array(
+            [g2_exact_per_point(scheme, GEOMETRY, det_1, Detector(n, eps_2), entangled) for n in directions]
+        )
+        assert np.max(np.abs(column - expected)) <= 1e-15 * np.max(np.abs(expected))
+        dark = exact_oracle._g2_exact_scan(scheme, GEOMETRY, det_1, directions, eps_2, ground)
+        assert np.array_equal(dark, np.zeros(37))
 
 
 def test_stacked_oracle_rejects_a_non_hermitian_pair_state():

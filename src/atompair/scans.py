@@ -217,9 +217,10 @@ def g2_exact_scan(
     plane: str = "xy",
     n_points: int = 360,
 ) -> np.ndarray:
-    """G2 of the pair state rho (x) rho from the product-space oracle over the grid
-    of :func:`g2_scan`: the independent route its factorized column is compared
-    against: the pair state conditioned on detector 1 and detector 2's 2x2 form in
-    the atoms' phases are built once, and the scan's phases enter as one array."""
+    """Product-space oracle G2 of the pair state rho (x) rho over the grid of :func:`g2_scan`.
+
+    It is the independent route that the factorized column of that scan is compared against.
+    Detector 1's conditioned pair state and detector 2's 2x2 form in the atoms' phases are
+    built once, and the scan's phases enter as one array."""
     _, n_2, (det_1, det_2) = _scan_grid(plane, n_points, polarization_1, polarization_2)
     return _g2_exact_scan(scheme, geometry, det_1, n_2, det_2.epsilon, np.kron(rho, rho))

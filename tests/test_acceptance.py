@@ -97,13 +97,13 @@ def test_oracle_group_catches_a_perturbed_factorized_phase(monkeypatch):
 
 
 def test_oracle_group_catches_a_perturbed_conditioned_route(monkeypatch):
-    kernel = exact_oracle._conditioned_states
+    kernel = exact_oracle._conditioned
 
     def perturbed(*args, **kwargs):
         states, rates = kernel(*args, **kwargs)
         return states * (1.0 + 1e-6), rates
 
-    assert (exact_oracle, "_conditioned_states") in patch_aliases(monkeypatch, kernel, perturbed)
+    assert (exact_oracle, "_conditioned") in patch_aliases(monkeypatch, kernel, perturbed)
     results = _check_results(_oracle_group(np.random.default_rng(6), GEOMETRY))
     assert results == {"factorized_matches_exact": True, "conditioned_state_identity": False}
 
@@ -126,8 +126,9 @@ def test_superposition_group_catches_a_perturbed_scan_oracle(monkeypatch):
 
 
 def test_oracle_and_normalized_groups_make_no_per_point_calls(monkeypatch):
-    # the oracle group evaluates its 5 x 50 pairs as stacks of at most _BLOCK pairs, and the
-    # normalized group its 72 closed-form points as one array
+    # the oracle group builds the two field stacks of each of its 5 parameter sets once and
+    # evaluates all 50 pairs of a set in one call, and the normalized group its 72 closed-form
+    # points as one array
     calls = {}
 
     def counting(target):
@@ -144,12 +145,16 @@ def test_oracle_and_normalized_groups_make_no_per_point_calls(monkeypatch):
         correlations.g2_factorized,
         correlations.g2_normalized_closed_form,
     )
-    stacked = (exact_oracle._g2_exact_stack, correlations._g2_normalized_closed_form)
+    stacked = (
+        exact_oracle._coincidences,
+        exact_oracle._fields,
+        correlations._g2_normalized_closed_form,
+    )
     for target in per_point + stacked:
         patch_aliases(monkeypatch, target, counting(target))
     assert _oracle_group(np.random.default_rng(6), GEOMETRY).passed
     assert _normalized_group(GEOMETRY).passed
-    assert calls == {"_g2_exact_stack": 5 * 4, "_g2_normalized_closed_form": 1}
+    assert calls == {"_coincidences": 5, "_fields": 5 * 2, "_g2_normalized_closed_form": 1}
 
 
 def test_criterion_07_normalized_correlation():
@@ -207,6 +212,18 @@ def test_monte_carlo_group_names_a_degenerate_stationary_state():
     assert "not unique" in check.detail
     assert "never leaves the pi pair it starts in" in check.detail
     assert max(map(len, re.findall(r"[0-9][0-9.e+-]*", check.detail))) <= 20
+
+
+def test_monte_carlo_group_says_when_no_trajectory_jumps():
+    # at g = 0.001 no trajectory jumps within 20/Gamma, so every population has zero spread
+    weak = RunConfig(g=0.001, n_traj=20, t_total=20.0)
+    check = {c.name: c for c in _monte_carlo_group(weak).checks}["populations_within_3_sigma"]
+    assert not check.passed
+    assert check.detail.startswith("max |population pull| = inf standard errors")
+    assert check.detail.endswith("; no trajectory jumped, so t_total is too short at this drive")
+    driven = RunConfig(n_traj=20, t_total=20.0)
+    check = {c.name: c for c in _monte_carlo_group(driven).checks}["populations_within_3_sigma"]
+    assert "no trajectory jumped" not in check.detail
 
 
 def test_criterion_10_superposition_contrast():

@@ -10,6 +10,7 @@ from atompair import (
     build_liouvillian,
     conditioned_state,
     g2_exact,
+    g2_exact_scan,
     g2_factorized,
     hg_level_scheme,
     intensity,
@@ -24,7 +25,8 @@ from atompair import (
 from atompair.atom_model import Y_HAT, sigma_polarization
 from atompair.correlations import _pair_correlations
 from atompair.dynamics import unvectorize, vectorize
-from atompair.exact_oracle import _conditioned_states, _g2_exact_stack, _intensities_exact
+from atompair.exact_oracle import _coincidences, _conditioned, _fields, _intensities, _pair_fields
+from atompair.farfield import lowering_coefficients
 from atompair.scans import scan_direction
 from atompair.validation import _random_detectors
 
@@ -220,6 +222,23 @@ class TestConditionedState:
         with pytest.raises(ValueError, match="shape"):
             g2_exact(scheme, geometry, det, det, np.eye(4, dtype=complex) / 4)
 
+    def test_non_finite_pair_state(self, scheme, geometry, rho):
+        # unchecked, a NaN entry gives nan rates that pass every realness check
+        det = Detector(Y_HAT, sigma_polarization(Y_HAT))
+        eps = det.epsilon
+        rho = rho.copy()
+        rho[0, 0] = np.nan
+        rho_pair = np.kron(rho, rho)
+        calls = [
+            lambda: g2_exact(scheme, geometry, det, det, rho_pair),
+            lambda: intensity_exact(scheme, geometry, det, rho_pair),
+            lambda: conditioned_state(scheme, geometry, det, rho_pair),
+            lambda: g2_exact_scan(scheme, geometry, eps, eps, rho, n_points=8),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
 
 class TestStackedKernels:
     """The kernels take one detector pair per row; the point functions are the stack of one."""
@@ -234,12 +253,13 @@ class TestStackedKernels:
         geometry = standard_geometry(0.8, (0.3, 0.5, 0.2))
         rho = steady_state_numeric(build_liouvillian(scheme, params))
         rho_pair = np.kron(rho, rho)
-        # 50 pairs straddle three evaluation blocks
+        # the kernels evaluate all 50 pairs in one call, as validate's oracle group does
         n, eps = (x.reshape(50, 2, 3) for x in _random_detectors(rng, 100))
         pair = (n[:, 0], eps[:, 0], n[:, 1], eps[:, 1])
-        exact = _g2_exact_stack(scheme, geometry, *pair, rho_pair)
-        conditioned, rates = _conditioned_states(scheme, geometry, *pair[:2], rho_pair)
-        via_cond = _intensities_exact(scheme, geometry, *pair[2:], conditioned)
+        e_1, e_2 = _fields(scheme, geometry, *pair[:2]), _fields(scheme, geometry, *pair[2:])
+        exact = _coincidences(e_1, e_2, rho_pair)
+        conditioned, rates = _conditioned(e_1, rho_pair)
+        via_cond = _intensities(e_2, conditioned)
         fact = _pair_correlations(scheme, geometry, *pair, rho)[0]
         dets = [(Detector(n_1, e_1), Detector(n_2, e_2)) for n_1, e_1, n_2, e_2 in zip(*pair)]
         cond = [conditioned_state(scheme, geometry, det_1, rho_pair) for det_1, _ in dets]
@@ -255,6 +275,17 @@ class TestStackedKernels:
             per_pair = np.asarray(per_pair)
             assert stacked.shape == per_pair.shape, name
             assert np.max(np.abs(stacked - per_pair)) <= 1e-15 * np.max(np.abs(per_pair)), name
+
+    @pytest.mark.parametrize("scheme_name", ["four-level", "two-level"])
+    def test_unit_phase_rows_are_the_kronecker_products(self, scheme_name):
+        # the scan kernel's B_A and B_B come from the builder's identity rows, not np.kron
+        params = DriveDecayParams(g=0.7, gamma0=0.3, gamma=0.5)
+        scheme = hg_level_scheme(params) if scheme_name == "four-level" else two_level_scheme(1.0)
+        eps = np.array([1.0, 0.5j, 1.0]) / 1.5
+        coeff, eye = lowering_coefficients(scheme, eps), np.eye(scheme.n_levels)
+        b_a, b_b = _pair_fields(scheme, np.eye(2), eps)
+        assert np.array_equal(b_a, np.kron(coeff, eye))
+        assert np.array_equal(b_b, np.kron(eye, coeff))
 
     @pytest.mark.parametrize("count", [1, 2, 37])
     def test_random_detectors_match_sequential_draws(self, count):

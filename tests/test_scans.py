@@ -93,9 +93,9 @@ def test_g2_scan_never_reaches_the_oracle(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("g2_scan called the product-space oracle")
 
-    # the point query, the stacked evaluation of detector pairs and the scan kernel that
+    # the point query, the coincidence kernel behind it and validate, and the scan kernel that
     # g2_exact_scan goes through
-    for target in (exact_oracle.g2_exact, exact_oracle._g2_exact_stack, exact_oracle._g2_exact_scan):
+    for target in (exact_oracle.g2_exact, exact_oracle._coincidences, exact_oracle._g2_exact_scan):
         assert (exact_oracle, target.__name__) in patch_aliases(monkeypatch, target, refuse)
     scheme = SCHEMES["four-level"]
     rho = steady_state_numeric(build_liouvillian(scheme, PARAMS))
@@ -119,8 +119,8 @@ def test_scans_reject_an_analyzer_that_is_not_a_unit_vector(scan, analyzer):
             scan(scheme, GEOMETRY, *analyzers, rho)
 
 
-# 15, 16 and 17 points straddle one evaluation block of the stacked oracle behind g2_exact;
-# g2_exact_scan runs in no blocks
+# 15, 16 and 17 points sit on both sides of a power of two; neither g2_exact_scan nor the
+# coincidence kernel behind g2_exact splits its rows, so every count gives the same values
 @pytest.mark.parametrize("n_points", [2, 15, 16, 17, 361])
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
 def test_stacked_oracle_matches_per_point_formula(scheme_name, n_points):
@@ -169,6 +169,24 @@ def test_scan_kernel_matches_per_point_formula_on_any_pair_state(scheme_name, pl
         assert np.max(np.abs(column - expected)) <= 1e-15 * np.max(np.abs(expected))
         dark = exact_oracle._g2_exact_scan(scheme, GEOMETRY, det_1, directions, eps_2, ground)
         assert np.array_equal(dark, np.zeros(37))
+
+
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+def test_scan_kernel_builds_no_kronecker_product(monkeypatch, scheme_name):
+    # B_A = kron(c2, 1) and B_B = kron(1, c2) come from the pair-field builder
+    scheme = SCHEMES[scheme_name]
+    rho_pair = np.kron(SUPERPOSITIONS[scheme_name], SUPERPOSITIONS[scheme_name])
+    eps_1, eps_2 = ANALYZER_PAIRS[1]
+    det_1 = Detector(reference_direction("xy"), eps_1)
+    directions = scan_direction("xy", scan_angles(36))
+    expected = exact_oracle._g2_exact_scan(scheme, GEOMETRY, det_1, directions, eps_2, rho_pair)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(exact_oracle.np, "kron", refuse)
+    column = exact_oracle._g2_exact_scan(scheme, GEOMETRY, det_1, directions, eps_2, rho_pair)
+    assert np.array_equal(column, expected)
 
 
 def test_stacked_oracle_rejects_a_non_hermitian_pair_state():

@@ -222,34 +222,35 @@ class QuantumJumpResult:
 # whole block of buffered draws (its levels, one batch of waiting times, one cumsum of restart
 # times) up to its first stretch that does not jump before t_total.  rng.random((n, 2)) returns
 # the same numbers as 2 n scalar calls, so the draw order does not depend on the block.  Groups
-# of at most _GROUP trajectories run their rounds in turn, which caps each round's arrays.
-_DRAW_BLOCK, _GROUP = 16, 128
+# of at most _GROUP trajectories run their rounds in turn, which caps each round's arrays.  The
+# time average leaves out the first _BURN_IN of the horizon, where the ground start still relaxes.
+_DRAW_BLOCK, _GROUP, _BURN_IN = 16, 128, 0.1
 
 
-def _pair_blocks(scheme: LevelScheme, generator, levels: np.ndarray):
-    """Per level k, from ``_generator``'s (a, uppers, lowers, rates): the levels (e, l) of the driven
-    pair that holds k; its column (G, c, kappa) for ``_no_jump``, a[e, e] = -G, a[e, l] = a[l, e] =
-    i c, kappa = sqrt(G^2/4 - c^2) or -omega for kappa = i omega; and the cumulative channel weights
-    at a jump over their total, rate_c |psi_upper_c|^2 = rate_c |psi_e|^2 on e's channels as only e
-    is populated then (0 if k cannot jump).  An undriven level is its own block, e = l = k, c = 0."""
+def _pair_blocks(generator, levels: np.ndarray):
+    """Per ground level l, from ``_generator``'s (a, uppers, lowers, rates): the excited level e of
+    the driven pair (e, l); its column (G, c, kappa) for ``_no_jump``, a[e, e] = -G, a[e, l] = a[l,
+    e] = i c, kappa = sqrt(G^2/4 - c^2) or -omega for kappa = i omega; and the cumulative channel
+    weights at a jump over their total, rate_c |psi_upper_c|^2 = rate_c |psi_e|^2 on e's channels
+    as only e is populated then (0 if l cannot jump).  An undriven level is its own block, e = l."""
     a, uppers, _, rates = generator
 
     def linked(k):
         return [j for j in np.flatnonzero(a[k]) if j != k]
 
-    excited, ground = levels.copy(), levels.copy()
-    for row, k in enumerate(levels):
-        if linked(k):
-            e, l = (k, linked(k)[0]) if k in scheme.excited_levels else (linked(k)[0], k)
+    excited = levels.copy()
+    for row, l in enumerate(levels):
+        if linked(l):
+            e = linked(l)[0]
             if linked(e) != [l] or linked(l) != [e] or a[e, e] == 0:
-                raise ValueError(f"level {k} is not in exactly one driven excited-ground pair")
-            excited[row], ground[row] = e, l
-    decay, coupling = -a[excited, excited].real, a[excited, ground].imag
+                raise ValueError(f"level {l} is not in exactly one driven excited-ground pair")
+            excited[row] = e
+    decay, coupling = -a[excited, excited].real, a[excited, levels].imag
     square = decay**2 / 4 - coupling**2
     weights = np.where(uppers == excited[:, None], rates, 0.0)
     total = weights.sum(axis=1, keepdims=True)
     form = np.array([decay, coupling, np.copysign(np.sqrt(abs(square)), square)])
-    return excited, ground, form, np.cumsum(weights, axis=1) / np.where(total > 0, total, 1.0)
+    return excited, form, np.cumsum(weights, axis=1) / np.where(total > 0, total, 1.0)
 
 
 def _no_jump(form, tau, x, y):
@@ -279,36 +280,32 @@ def quantum_jump_estimate(
     n_traj: int,
     t_total: float,
     seed: int,
-    *,
-    burn_fraction: float = 0.1,
-    initial_level: int | None = None,
 ) -> QuantumJumpResult:
     """Steady-state estimate from a quantum-jump (Monte Carlo wave function) unraveling.
 
-    Waiting-time (delay-function) sampler: Plenio & Knight, Rev. Mod. Phys. 70, 101 (1998),
-    Sec. IV; cf. Dalibard, Castin & Molmer, PRL 68, 580 (1992).  Every jump operator is
-    |lower><upper|, so after a jump the state is a basis vector e_k and each trajectory is a
-    renewal process: until the next jump it is E(tau) e_k, E(tau) = expm(a tau), whose squared
-    norm S_k(tau) is the survival function of the waiting time.  In the driven pair (e, l) that
-    holds k, E(tau) e_k is x e_l + i y e_e up to a constant phase, with the real amplitudes of
-    ``_no_jump`` from (1, 0) if k = l and (0, 1) if k = e: S_k = x^2 + y^2 and -S_k' = 2 G y^2
-    (Cohen-Tannoudji & Dalibard, Europhys. Lett. 1, 441 (1986)).  The grid dt = 0.02/Gamma only
-    brackets jumps: (x, y)(m dt) is tabulated per restart level, and each jump time is solved to
-    machine precision from its bracket's amplitudes.  At a jump only e is populated, so the channel
-    is drawn from e's fixed rate table, exactly.
+    Waiting-time (delay-function) sampler: Plenio & Knight, Rev. Mod. Phys. 70, 101 (1998), Sec. IV;
+    cf. Dalibard, Castin & Molmer, PRL 68, 580 (1992).  A trajectory starts in the lowest ground
+    level, and every jump operator is |lower><upper|, so each stretch starts in a ground basis
+    vector e_l and each trajectory is a renewal process: until the next jump it is E(tau) e_l,
+    E(tau) = expm(a tau), whose squared norm S_l(tau) is the survival function of the waiting time.
+    In the driven pair (e, l), E(tau) e_l = x e_l + i y e_e with the real amplitudes of ``_no_jump``
+    from (1, 0): S_l = x^2 + y^2 and -S_l' = 2 G y^2 (Cohen-Tannoudji & Dalibard, Europhys. Lett. 1,
+    441 (1986)).  The grid dt = 0.02/Gamma only brackets jumps: (x, y)(m dt) is tabulated per restart
+    level, and each jump time is solved to machine precision from its bracket's amplitudes.  At a
+    jump only e is populated, so the channel is drawn from e's fixed rate table, exactly.
 
     Estimator: the exact time average of the normalized projector P = psi psi^dag / |psi|^2 over
     [t_burn, t_total], t_total = n_steps dt and t_burn = (n_steps - n_samples) dt, the first
-    ``burn_fraction`` of the horizon.  By the renewal structure (Breuer & Petruccione, The Theory
-    of Open Quantum Systems, OUP 2002, ch. 6) a stretch from level k contributes
-    F_k(tau_b) - F_k(tau_a), F_k(tau) = int_0^tau P(E(s) e_k) ds, between its part's ends in the
+    tenth (``_BURN_IN``) of the horizon.  By the renewal structure (Breuer & Petruccione, The
+    Theory of Open Quantum Systems, OUP 2002, ch. 6) a stretch from level l contributes
+    F_l(tau_b) - F_l(tau_a), F_l(tau) = int_0^tau P(E(s) e_l) ds, between its part's ends in the
     window, in its own time tau.  With x + i y = |psi| e^{i t}, t' = c - G sin t cos t and
-    d ln S_k / dtau = -2 G sin^2 t, so F_ee = -ln S_k / (2 G), F_ll = tau - F_ee and F_el = -F_le
-    = i (c tau - (t(tau) - t(0))) / G, where t is read by atan2 and unwound to within pi of t(0)
-    + sign(c) |Im kappa| tau: the no-jump map preserves orientation, so t never strays further.
-    An undriven level stays put, F_k = tau e_k e_k^T; a restart level in any other structure
-    raises ValueError.  The three reals are summed per trajectory and restart level in stretch
-    order and put on the pair at the end; standard errors are taken across trajectories.
+    d ln S_l / dtau = -2 G sin^2 t, so F_ee = -ln S_l / (2 G), F_ll = tau - F_ee and F_el = -F_le
+    = i (c tau - t(tau)) / G, where t is read by atan2 and unwound to within pi of sign(c) |Im
+    kappa| tau: the no-jump map preserves orientation, so t never strays further.  An undriven
+    level stays put, F_l = tau e_l e_l^T; a restart level in any other structure raises
+    ValueError.  The three reals are summed per trajectory and restart level in stretch order and
+    put on the pair at the end; standard errors are taken across trajectories.
 
     Determinism: trajectory i draws only from its own substream of ``SeedSequence(seed)``,
     in a fixed order (the first threshold; per jump, the channel, then the next threshold),
@@ -318,35 +315,27 @@ def quantum_jump_estimate(
         raise ValueError("n_traj must be >= 1")
     if t_total <= 0:
         raise ValueError("t_total must be > 0")
-    if not 0.0 <= burn_fraction < 1.0:
-        raise ValueError("burn_fraction must be in [0, 1)")
     dim = scheme.n_levels
-    if initial_level is None:
-        initial_level = min(scheme.ground_levels)
-    if not 0 <= initial_level < dim:
-        raise ValueError(f"initial level {initial_level} out of range")
     dt = 0.02 / params.total
     n_steps = int(round(t_total / dt))
-    n_samples = n_steps - int(round(burn_fraction * n_steps))
+    n_samples = n_steps - int(round(_BURN_IN * n_steps))
     if n_samples == 0:
-        raise ValueError("no samples collected; decrease burn_fraction or increase t_total")
+        raise ValueError("no samples collected; increase t_total")
 
     generator = _generator(scheme, params)
-    restart = np.unique(np.append(generator[2], initial_level))
-    excited, ground, form, cumulative = _pair_blocks(scheme, generator, restart)
+    restart = np.unique(np.append(generator[2], min(scheme.ground_levels)))  # ground levels; the start is [0]
+    excited, form, cumulative = _pair_blocks(generator, restart)
     # searchsorted(cumulative[row], draw, "right") picks the channel, following[pick] the next row
     following = np.searchsorted(restart, np.append(generator[2], generator[2][-1]))
-    y0 = np.isin(restart, list(scheme.excited_levels)).astype(float)  # (x, y)(0) = (1 - y0, y0)
-    half_decay = np.where(excited != ground, form[0], np.inf)  # F's G: inf zeroes an undriven F_ee
+    half_decay = np.where(excited != restart, form[0], np.inf)  # F's G: inf zeroes an undriven F_ee
     rotation = np.sign(form[1]) * np.maximum(-form[2], 0.0)
-    table_x, table_y = _no_jump(form[:, :, None], dt * np.arange(n_steps + 1), 1 - y0[:, None], y0[:, None])
+    table_x, table_y = _no_jump(form[:, :, None], dt * np.arange(n_steps + 1), 1.0, 0.0)
     neg_survival = -(table_x**2 + table_y**2)
 
     def integrated(lev, tau) -> np.ndarray:
         """(F_ee, F_ll, Im F_el)(tau) per row, in closed form from the no-jump amplitudes."""
-        x, y = _no_jump(form[:, lev], tau, 1 - y0[lev], y0[lev])
-        # t(tau) - t(0): the angle of x + i y, less pi/2 from e_e
-        turn = np.where(y0[lev] == 0, np.arctan2(y, x), np.arctan2(-x, y))
+        x, y = _no_jump(form[:, lev], tau, 1.0, 0.0)
+        turn = np.arctan2(y, x)  # t(tau) - t(0), as t(0) = 0
         turn += 2 * np.pi * np.round((rotation[lev] * tau - turn) / (2 * np.pi))
         f_ee = -np.log(x**2 + y**2) / (2 * half_decay[lev])
         return np.column_stack([f_ee, tau - f_ee, (form[1, lev] * tau - turn) / half_decay[lev]])
@@ -377,7 +366,7 @@ def quantum_jump_estimate(
         raise RuntimeError("jump-time root finding did not converge")
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
-    row = np.full(n_traj, np.searchsorted(restart, initial_level))
+    row = np.zeros(n_traj, dtype=int)
     restarted = np.zeros(n_traj)  # the time of each trajectory's last jump
     thresholds = np.array([rng.random() for rng in rngs])
     block = _DRAW_BLOCK
@@ -421,7 +410,7 @@ def quantum_jump_estimate(
 
     acc /= n_samples * dt  # each row's F_ee, F_ll, F_el and F_le = -F_el go onto its pair
     per_traj = np.zeros((n_traj, dim, dim), dtype=complex)
-    e, l = np.stack([excited, ground, excited, ground], 1), np.stack([excited, ground, ground, excited], 1)
+    e, l = np.stack([excited, restart, excited, restart], 1), np.stack([excited, restart, restart, excited], 1)
     np.add.at(per_traj, (slice(None), e, l), acc[..., [0, 1, 2, 2]] * np.array([1, 1, 1j, -1j]))
     stderr = per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else np.full((dim, dim), np.inf)
     return QuantumJumpResult(per_traj.mean(axis=0), stderr.real, n_traj, n_samples, n_jumps)

@@ -425,9 +425,12 @@ def _superposition_group(geometry) -> Group:
 
 def _population_pull(mc: QuantumJumpResult, reference: np.ndarray) -> float:
     """Largest |MC - reference| population, in MC standard errors: inf where a level has zero
-    spread yet differs from the reference, 0 where it agrees exactly."""
+    spread yet differs from the reference, 0 where it agrees exactly, and nan where a standard
+    error is not finite (one trajectory), which no pull can pass."""
     diff = np.abs(np.diag(mc.rho).real - np.diag(reference).real)
     spread = np.diag(mc.stderr)
+    if not np.isfinite(spread).all():
+        return math.nan
     pulls = np.divide(diff, spread, out=np.where(diff > 0, np.inf, 0.0), where=spread > 0)
     return float(np.max(pulls))
 
@@ -460,13 +463,14 @@ def _monte_carlo_group(config: RunConfig) -> Group:
         )
         return group
     worst_pull = _population_pull(first, steady_state_analytic(params))
-    stuck = "" if first.n_jumps else "; no trajectory jumped, so t_total is too short at this drive"
+    note = "" if first.n_jumps else "; no trajectory jumped, so t_total is too short at this drive"
+    note += "; one trajectory gives no standard error" if math.isnan(worst_pull) else ""
     group.add(
         "populations_within_3_sigma",
         worst_pull < 3.0,
         f"max |population pull| = {worst_pull:.2f} standard errors "
         f"({config.n_traj} trajectories, t_total = {config.t_total}/Gamma, "
-        f"mc_jumps_per_traj = {first.n_jumps / first.n_traj:.2f}){stuck}",
+        f"mc_jumps_per_traj = {first.n_jumps / first.n_traj:.2f}){note}",
     )
     return group
 

@@ -224,6 +224,17 @@ def test_monte_carlo_group_says_when_no_trajectory_jumps():
     driven = RunConfig(n_traj=20, t_total=20.0)
     check = {c.name: c for c in _monte_carlo_group(driven).checks}["populations_within_3_sigma"]
     assert "no trajectory jumped" not in check.detail
+    assert "one trajectory" not in check.detail
+
+
+def test_monte_carlo_group_fails_with_one_trajectory():
+    # one trajectory has no spread across trajectories, so its standard errors are infinite and
+    # the pull is undefined: the check must fail, not read a pull of 0
+    lone = RunConfig(n_traj=1, t_total=20.0)
+    check = {c.name: c for c in _monte_carlo_group(lone).checks}["populations_within_3_sigma"]
+    assert not check.passed
+    assert check.detail.startswith("max |population pull| = nan standard errors")
+    assert check.detail.endswith("; one trajectory gives no standard error")
 
 
 def test_criterion_10_superposition_contrast():

@@ -468,7 +468,7 @@ def test_population_pull():
     assert pull([0.0, 1.0], [0.0, 0.0]) == math.inf  # no spread, yet off the reference
     assert pull([0.0, 1.0], [0.5, 0.0]) == math.inf
     assert pull([0.5, 0.5], [0.1, 0.125]) == 2.5
-    assert pull([0.25, 0.75], [math.inf, math.inf]) == 0.0  # one trajectory: no pull
+    assert math.isnan(pull([0.25, 0.75], [math.inf, math.inf]))  # one trajectory: no pull
 
 
 def test_parser_shared_across_calls(tmp_path, capsys):

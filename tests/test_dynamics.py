@@ -278,9 +278,7 @@ class TestQuantumJump:
         # rho11 -> g^2/(2 Gamma^2) to leading order; the ground manifold
         # equilibrates slowly at weak drive, hence the long horizon
         p = DriveDecayParams(g=0.1, gamma0=0.5, gamma=0.5)
-        res = quantum_jump_estimate(
-            hg_level_scheme(p), p, n_traj=240, t_total=400.0, seed=4, burn_fraction=0.5
-        )
+        res = quantum_jump_estimate(hg_level_scheme(p), p, n_traj=240, t_total=400.0, seed=4)
         leading = p.g**2 / (2.0 * p.total**2)
         assert abs(res.rho[0, 0].real - leading) <= 3.0 * res.stderr[0, 0] + 2e-4
 
@@ -348,15 +346,16 @@ class TestPairPropagator:
     @pytest.mark.parametrize("two_level", [False, True])
     @pytest.mark.parametrize("g", [0.0, 0.05, 0.5, 1.0, 1e3, 1e4])
     def test_matches_expm(self, g, two_level):
-        # every level of both schemes: the ground levels jumps restart from and the excited ones a
-        # trajectory may start from; g = 0.5 at gamma0 = gamma = 1/2 is the critical block
+        # every ground level of both schemes, the levels jumps restart from; g = 0.5 at gamma0 =
+        # gamma = 1/2 is the critical block, and at g = 0 every ground level is undriven, kappa = 0
         p = DriveDecayParams(g=g, gamma0=0.5, gamma=0.5)
         scheme = two_level_scheme(p.total) if two_level else hg_level_scheme(p)
         generator = _generator(scheme, p)
         a, uppers, _, rates = generator
         dim = scheme.n_levels
-        excited, ground, form, _ = _pair_blocks(scheme, generator, np.arange(dim))
-        assert np.all(form[2] == 0) == (g == 0.5)  # critical
+        ground = np.array(sorted(scheme.ground_levels))
+        excited, form, _ = _pair_blocks(generator, ground)
+        assert np.all(form[2] == 0) == (g in (0.0, 0.5))  # critical or undriven
         assert np.all(form[2] < 0) == (g >= 1.0)  # underdamped: kappa = i omega
         dt = 0.02 / p.total
         taus = np.array([0.0, dt / 3, dt, 37 * dt, 800.0 / p.total])
@@ -365,27 +364,26 @@ class TestPairPropagator:
         # that both routes round: at g = 1e4 Gamma, tau = 37 dt (7400 rad), unshifted scipy is
         # 2.5e-13 off a 40-digit evaluation, and the closed form 3.1e-13
         bound = 1e-13 + 2 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * taus
-        for k in range(dim):
-            from_excited = k in scheme.excited_levels
-            # E(tau) e_k = phase (x e_l + i y e_e), from (x, y) = (0, 1) and phase -i if k = e
-            start = np.array([0.0, 1.0] if from_excited else [1.0, 0.0])
-            phase = -1j if from_excited else 1.0
-            x, y = _no_jump(form[:, [k]], taus, *start[:, None])
-            assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
-            for t, expected, x_t, y_t, tol in zip(taus, columns, x, y, bound):
-                psi = expected[:, k]
-                norm = np.hypot.reduce(np.abs(psi))  # no underflow at 1e-174
-                state = np.zeros(dim, dtype=complex)
-                state[ground[k]] += phase * x_t
-                state[excited[k]] += phase * 1j * y_t
-                assert np.max(np.abs(state - psi)) <= tol * norm, (k, t)
-                # -dS/dtau = sum_c rate_c |psi_upper_c|^2 = 2 G |psi_e|^2
-                loss = rates @ np.abs(psi[uppers]) ** 2
-                assert abs(2 * form[0, k] * y_t**2 - loss) <= 4 * form[0, k] * tol * norm**2, (k, t)
-                # the turn atan2((x + i y) / (x0 + i y0)) is the angle of psi_l + psi_e
-                turn = np.arctan2(y_t * start[0] - x_t * start[1], x_t * start[0] + y_t * start[1])
-                lag = turn - np.angle(psi[ground[k]] + psi[excited[k]])
-                assert abs(np.angle(np.exp(1j * lag))) <= 2 * tol, (k, t)
+        for row, (l, e) in enumerate(zip(ground, excited)):
+            # E(tau) e_k = phase (x e_l + i y e_e): from (x, y) = (1, 0) if k = l, and from (0, 1)
+            # with phase -i if k = e, the start of a bracket that crossing() may carry forward
+            for k, start, phase in [(l, (1.0, 0.0), 1.0), (e, (0.0, 1.0), -1j)][: 1 + (e != l)]:
+                x, y = _no_jump(form[:, [row]], taus, *np.array(start)[:, None])
+                assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+                for t, expected, x_t, y_t, tol in zip(taus, columns, x, y, bound):
+                    psi = expected[:, k]
+                    norm = np.hypot.reduce(np.abs(psi))  # no underflow at 1e-174
+                    state = np.zeros(dim, dtype=complex)
+                    state[l] += phase * x_t
+                    state[e] += phase * 1j * y_t
+                    assert np.max(np.abs(state - psi)) <= tol * norm, (k, t)
+                    # -dS/dtau = sum_c rate_c |psi_upper_c|^2 = 2 G |psi_e|^2
+                    loss = rates @ np.abs(psi[uppers]) ** 2
+                    assert abs(2 * form[0, row] * y_t**2 - loss) <= 4 * form[0, row] * tol * norm**2, (k, t)
+                    # the turn atan2((x + i y) / (x0 + i y0)) is the angle of psi_l + psi_e
+                    turn = np.arctan2(y_t * start[0] - x_t * start[1], x_t * start[0] + y_t * start[1])
+                    lag = turn - np.angle(psi[l] + psi[e])
+                    assert abs(np.angle(np.exp(1j * lag))) <= 2 * tol, (k, t)
 
 
 class TestChannelTable:
@@ -397,21 +395,20 @@ class TestChannelTable:
         scheme = two_level_scheme(p.total) if two_level else hg_level_scheme(p)
         generator = _generator(scheme, p)
         a, uppers, _, rates = generator
-        dim = scheme.n_levels
-        table = _pair_blocks(scheme, generator, np.arange(dim))[3]
+        ground = np.array(sorted(scheme.ground_levels))  # every level a trajectory can restart on
+        table = _pair_blocks(generator, ground)[2]
         taus = np.array([1 / 3, 1.0, 7.4, 20.0, 53.0]) * 0.02 / p.total
         for tau, propagator in zip(taus, expm_columns(a, taus)):
-            for k in range(dim):  # every level a trajectory can restart or start on
-                weights = rates * np.abs(propagator[uppers, k]) ** 2
+            for row, l in enumerate(ground):
+                weights = rates * np.abs(propagator[uppers, l]) ** 2
                 expected = np.cumsum(weights) / weights.sum()
-                assert np.max(np.abs(table[k] - expected)) <= 1e-15, (k, tau)
+                assert np.max(np.abs(table[row] - expected)) <= 1e-15, (l, tau)
 
     def test_level_that_cannot_jump_reads_zero(self):
         p = DriveDecayParams(g=0.0, gamma0=0.5, gamma=0.5)
         scheme = hg_level_scheme(p)
-        table = _pair_blocks(scheme, _generator(scheme, p), np.arange(4))[3]
-        for k in sorted(scheme.ground_levels):
-            assert np.all(table[k] == 0)
+        table = _pair_blocks(_generator(scheme, p), np.array(sorted(scheme.ground_levels)))[2]
+        assert np.all(table == 0)
 
 
 def reference_jump_sampler(scheme, params, n_traj, t_total, seed, burn_fraction, initial_level):
@@ -483,46 +480,41 @@ def reference_jump_sampler(scheme, params, n_traj, t_total, seed, burn_fraction,
 
 class TestQuantumJumpReference:
     CASES = {
-        "default": (1.0, 0.5, 0.5, False, {}),
-        "two_level": (0.8, 0.0, 1.0, True, {}),
-        "exceptional_point": (0.5, 0.5, 0.5, False, {}),
-        "strong_drive": (10.0, 0.5, 0.5, False, {}),
+        "default": (1.0, 0.5, 0.5, False, 20.0),
+        "two_level": (0.8, 0.0, 1.0, True, 20.0),
+        "exceptional_point": (0.5, 0.5, 0.5, False, 20.0),
+        "strong_drive": (10.0, 0.5, 0.5, False, 20.0),
         # each grid step holds about 20 rad of turn, so the root finder bisects there
-        "very_strong_drive": (1e3, 0.5, 0.5, False, {}),
-        "excited_start": (1.0, 0.3, 0.7, False, {"initial_level": 0}),
-        "no_burn_in": (1.0, 0.5, 0.5, False, {"burn_fraction": 0.0}),
-        "no_jumps": (1e-3, 0.5, 0.5, False, {}),
+        "very_strong_drive": (1e3, 0.5, 0.5, False, 20.0),
+        "no_jumps": (1e-3, 0.5, 0.5, False, 20.0),
         # more jumps per trajectory than one buffered block of draws
-        "draw_refill": (3.0, 0.5, 0.5, False, {"t_total": 40.0}),
-        # long stretches: the burn-in cut falls deep inside one that began with a jump
-        "burn_in_inside_stretch": (0.3, 0.5, 0.5, False, {"burn_fraction": 0.5}),
+        "draw_refill": (3.0, 0.5, 0.5, False, 40.0),
+        # overdamped, so stretches are long: the burn-in cut falls inside each trajectory's first
+        # one; restarts reach the pair with coupling -g, where the phase of the state turns back
+        "burn_in_inside_stretch": (0.3, 0.5, 0.5, False, 20.0),
         # no partner: the state stays the basis state it started in
-        "undriven": (0.0, 0.5, 0.5, False, {}),
-        # overdamped, and the pair with coupling -g: the phase of the state turns back
-        "excited_start_second_pair": (0.3, 0.5, 0.5, False, {"initial_level": 2}),
-        # the first stretch starts in the window, so F_k(0) = 0 must hold from an excited level
-        "excited_start_no_burn_in": (1.0, 0.3, 0.7, False, {"initial_level": 0, "burn_fraction": 0.0}),
-        # a restart row with e = l = k that decays once, to a ground level that never jumps
-        "undriven_excited_start": (0.0, 0.5, 0.5, False, {"initial_level": 0}),
+        "undriven": (0.0, 0.5, 0.5, False, 20.0),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_scalar_reference(self, case):
-        g, gamma0, gamma, two_level, kwargs = self.CASES[case]
+        g, gamma0, gamma, two_level, t_total = self.CASES[case]
         p = DriveDecayParams(g=g, gamma0=gamma0, gamma=gamma)
         scheme = two_level_scheme(p.total) if two_level else hg_level_scheme(p)
-        defaults = {"t_total": 20.0, "burn_fraction": 0.1, "initial_level": min(scheme.ground_levels)}
-        kwargs = {**defaults, **kwargs}
-        res = quantum_jump_estimate(scheme, p, n_traj=5, seed=31, **kwargs)
-        rho, stderr, jumps, cut_after_jump = reference_jump_sampler(scheme, p, 5, seed=31, **kwargs)
+        res = quantum_jump_estimate(scheme, p, n_traj=5, t_total=t_total, seed=31)
+        # the estimator's window: the last 90% of the horizon, from the lowest ground level
+        start = min(scheme.ground_levels)
+        rho, stderr, jumps, cut_after_jump = reference_jump_sampler(scheme, p, 5, t_total, 31, 0.1, start)
         assert np.max(np.abs(res.rho - rho)) <= 1e-9
         assert np.max(np.abs(res.stderr - stderr)) <= 1e-9
         assert res.n_jumps == sum(jumps)
         assert (res.n_jumps == 0) == (case in ("no_jumps", "undriven"))
         if case == "draw_refill":
             assert max(jumps) > _DRAW_BLOCK
-        if case == "burn_in_inside_stretch":
+        if case == "default":  # the burn-in cut falls inside a stretch that began with a jump
             assert cut_after_jump > 0
+        if case == "burn_in_inside_stretch":
+            assert cut_after_jump == 0 and res.rho[2, 3] != 0
 
     def test_pairs_of_both_kinds(self):
         # an overdamped and an underdamped pair linked by undriven decay, so a batch of stretches
@@ -539,17 +531,17 @@ class TestQuantumJumpReference:
             excited_levels=frozenset({0, 2}),
         )
         p = DriveDecayParams(g=0.6, gamma0=0.5, gamma=0.5)
-        form = _pair_blocks(scheme, _generator(scheme, p), np.arange(4))[2]
+        form = _pair_blocks(_generator(scheme, p), np.array([1, 3]))[1][:, [0, 0, 1, 1]]
         assert form[2, 0] == form[2, 1] > 0 > form[2, 2] == form[2, 3]
         taus = np.linspace(0.0, 5.0, 7)
+        # both start vectors per pair, (0, 1) and (1, 0): crossing() carries any tabulated (x, y)
         start = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])[:, :, None]
         mixed = _no_jump(form[:, :, None], taus, *start)
         for k in range(4):
             alone = _no_jump(form[:, [k], None], taus, *start[:, [k]])
             assert np.array_equal(np.array(mixed)[:, k], np.array(alone)[:, 0])
-        kwargs = {"t_total": 10.0, "burn_fraction": 0.1, "initial_level": 1}
-        res = quantum_jump_estimate(scheme, p, n_traj=5, seed=31, **kwargs)
-        rho, stderr, jumps, _ = reference_jump_sampler(scheme, p, 5, seed=31, **kwargs)
+        res = quantum_jump_estimate(scheme, p, n_traj=5, t_total=10.0, seed=31)
+        rho, stderr, jumps, _ = reference_jump_sampler(scheme, p, 5, 10.0, 31, 0.1, 1)
         assert np.max(np.abs(res.rho - rho)) <= 1e-9
         assert np.max(np.abs(res.stderr - stderr)) <= 1e-9
         assert res.n_jumps == sum(jumps) > 0

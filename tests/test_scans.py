@@ -8,7 +8,9 @@ from atompair import (
     Detector,
     DriveDecayParams,
     build_liouvillian,
+    correlation_point,
     g2_exact,
+    g2_factorized,
     g2_normalized_closed_form,
     hg_level_scheme,
     intensity,
@@ -214,3 +216,26 @@ def test_stacked_oracle_memory_stays_flat():
         tracemalloc.stop()
     # one (3600, 16, 16) complex stack of field operators alone takes 14.7 MB
     assert peak < 2e6
+
+
+SINGLE_ATOM_ENTRY_POINTS = {
+    "g2_factorized": lambda s, g, d, rho: g2_factorized(s, g, d, d, rho),
+    "correlation_point": lambda s, g, d, rho: correlation_point(s, g, PARAMS, d, d, rho=rho),
+    "intensity_scan": lambda s, g, d, rho: intensity_scan(s, g, d.epsilon, rho, n_points=8),
+    "g2_scan": lambda s, g, d, rho: g2_scan(s, g, d.epsilon, d.epsilon, rho, n_points=8),
+    "g2_exact_scan": lambda s, g, d, rho: g2_exact_scan(s, g, d.epsilon, d.epsilon, rho, n_points=8),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(SINGLE_ATOM_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_single_atom_state(entry, bad):
+    # unchecked, the traces of such a state are nan with no error, and np.kron of an infinite
+    # entry warns before the pair-state check can reject it
+    scheme = SCHEMES["four-level"]
+    rho = steady_state_numeric(build_liouvillian(scheme, PARAMS))
+    rho[0, 0] = bad
+    det = Detector(reference_direction("xy"), unit([1.0, 0.5j, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        SINGLE_ATOM_ENTRY_POINTS[entry](scheme, GEOMETRY, det, rho)

@@ -66,7 +66,8 @@ __all__ = [
 
 class DegenerateSteadyStateError(ValueError):
     """The Liouvillian null space has dimension > 1 (no unique steady state): on the four-level
-    scheme at g = 0, or at gamma = 0, where no decay links the two driven pi pairs."""
+    scheme at g = 0, or at gamma = 0, where no decay links the two driven pi pairs.  A drive so
+    weak that the optical-pumping gap falls under the solver's threshold reads the same."""
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -148,7 +149,8 @@ def steady_state_numeric(liouvillian: np.ndarray) -> np.ndarray:
 
     Uses a dense SVD; the returned matrix is Hermitized and trace
     normalized.  Raises :class:`DegenerateSteadyStateError`, naming the null-space
-    dimension, when it is > 1: at g = 0, or with no decay linking the driven pairs.
+    dimension, when it is > 1: at g = 0, with no decay linking the driven pairs, or at a
+    drive so weak (g below about 1e-5 Gamma) that the gap falls under the 1e-10 threshold.
     """
     liou = np.asarray(liouvillian, dtype=complex)
     dim = int(round(math.sqrt(liou.shape[0])))
@@ -161,7 +163,8 @@ def steady_state_numeric(liouvillian: np.ndarray) -> np.ndarray:
         raise DegenerateSteadyStateError(
             f"steady state is not unique: Liouvillian null space has dimension {n_null} "
             "(either g = 0, which leaves every ground-manifold population stationary, or no "
-            "decay links the driven pairs, so each pair keeps its own population)"
+            "decay links the driven pairs, so each pair keeps its own population, or the drive is "
+            "so weak that the optical-pumping gap falls under the solver's 1e-10 relative threshold)"
         )
     candidate = unvectorize(vh[-1].conj(), dim)
     trace = candidate.trace()
@@ -220,11 +223,12 @@ class QuantumJumpResult:
 # Jumps per round: a stretch's restart level follows from the channel draws alone and its waiting
 # time from that level and its threshold, so each round takes every live trajectory through a
 # whole block of buffered draws (its levels, one batch of waiting times, one cumsum of restart
-# times) up to its first stretch that does not jump before t_total.  rng.random((n, 2)) returns
-# the same numbers as 2 n scalar calls, so the draw order does not depend on the block.  Groups
-# of at most _GROUP trajectories run their rounds in turn, which caps each round's arrays.  The
-# time average leaves out the first _BURN_IN of the horizon, where the ground start still relaxes.
-_DRAW_BLOCK, _GROUP, _BURN_IN = 16, 128, 0.1
+# times) up to its first stretch that does not jump before t_total.  Each round draws one
+# (n_traj, _DRAW_BLOCK, 2) array and trajectory i reads its row i, so only the current round's
+# draws are held.  Within a round, groups of at most _GROUP trajectories run in turn, which caps
+# its arrays; the rows do not depend on the grouping.  The time average leaves out the first
+# _BURN_IN of the horizon, where the ground start still relaxes.
+_DRAW_BLOCK, _GROUP, _BURN_IN = 16, 256, 0.1
 
 
 def _pair_blocks(generator, levels: np.ndarray):
@@ -307,9 +311,9 @@ def quantum_jump_estimate(
     ValueError.  The three reals are summed per trajectory and restart level in stretch order and
     put on the pair at the end; standard errors are taken across trajectories.
 
-    Determinism: trajectory i draws only from its own substream of ``SeedSequence(seed)``,
-    in a fixed order (the first threshold; per jump, the channel, then the next threshold),
-    so results are bit-identical for a fixed seed and independent of any batching order.
+    Determinism: one ``default_rng(seed)`` per call draws the first thresholds, then one (n_traj,
+    _DRAW_BLOCK, 2) array per round, whose row i trajectory i reads in order (per jump, the channel,
+    then the next threshold): bit-identical results for a fixed seed, whatever the grouping.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -365,16 +369,18 @@ def quantum_jump_estimate(
             delta, prev_step = np.where(done, delta, delta - step), step
         raise RuntimeError("jump-time root finding did not converge")
 
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
+    rng = np.random.default_rng(seed)
     row = np.zeros(n_traj, dtype=int)
     restarted = np.zeros(n_traj)  # the time of each trajectory's last jump
-    thresholds = np.array([rng.random() for rng in rngs])
+    thresholds = rng.random(n_traj)
     block = _DRAW_BLOCK
     acc = np.zeros((n_traj, len(restart), 3))  # per trajectory and restart row: the sum of its F
     n_jumps = 0
-    for live in np.array_split(np.arange(n_traj), -(-n_traj // _GROUP)):
-        while live.size:
-            draws = np.array([rngs[i].random((block, 2)) for i in live])  # per jump: channel, threshold
+    groups = np.array_split(np.arange(n_traj), -(-n_traj // _GROUP))
+    while groups:
+        drawn = rng.random((n_traj, block, 2))  # row i: trajectory i's channel, threshold per jump
+        for k, live in enumerate(groups):
+            draws = drawn[live]
             # each stretch's restart row: rows[:, j + 1] follows rows[:, j] by the j-th channel draw
             picked = following[(cumulative[:, None, None, :] <= draws[None, :, :, :1]).sum(axis=-1)]
             rows = np.repeat(row[live, None], block + 1, axis=1)
@@ -405,8 +411,9 @@ def quantum_jump_estimate(
             gain[np.searchsorted(ends, cuts)] -= values[ends.size :]
             np.add.at(acc, (live[ends // block], lev[ends]), gain)  # in stretch order
             more = held[:, -1]  # the whole block jumped
-            live = live[more]
+            groups[k] = live = live[more]
             row[live], thresholds[live], restarted[live] = rows[more, -1], draws[more, -1, 1], begun[more, -1]
+        groups = [live for live in groups if live.size]
 
     acc /= n_samples * dt  # each row's F_ee, F_ll, F_el and F_le = -F_el go onto its pair
     per_traj = np.zeros((n_traj, dim, dim), dtype=complex)

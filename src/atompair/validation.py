@@ -453,14 +453,17 @@ def _monte_carlo_group(config: RunConfig) -> Group:
     try:
         steady_state_numeric(build_liouvillian(scheme, params))
     except DegenerateSteadyStateError as exc:
-        # a pull needs the unique stationary state: without it the trajectories keep the
-        # population of the pi pair they start in, with zero spread
-        group.add(
-            "populations_within_3_sigma",
-            False,
-            f"{exc}; the Monte Carlo never leaves the pi pair it starts in, so no population "
-            "pull is defined",
-        )
+        # a pull needs the unique stationary state: without sigma decay or drive the trajectories
+        # keep the population of the pi pair they start in, with zero spread; with both, the state
+        # is unique and only the solver misses it
+        if config.gamma == 0 or config.g == 0:
+            why = "the Monte Carlo never leaves the pi pair it starts in, so no population pull is defined"
+        else:
+            why = (
+                "with g > 0 and sigma decay the state is unique, but this drive is below the "
+                "null-space solver's weak-drive limit, so no population pull is computed"
+            )
+        group.add("populations_within_3_sigma", False, f"{exc}; {why}")
         return group
     worst_pull = _population_pull(first, steady_state_analytic(params))
     note = "" if first.n_jumps else "; no trajectory jumped, so t_total is too short at this drive"

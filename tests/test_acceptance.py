@@ -214,6 +214,23 @@ def test_monte_carlo_group_names_a_degenerate_stationary_state():
     assert max(map(len, re.findall(r"[0-9][0-9.e+-]*", check.detail))) <= 20
 
 
+def test_monte_carlo_group_names_the_weak_drive_limit():
+    # at g = 1e-5 with sigma decay the stationary state is unique, but the optical-pumping gap is
+    # below the null-space solver's threshold: the detail must say so and blame neither g = 0 nor
+    # missing decay for the Monte Carlo
+    config = RunConfig(g=1e-5, n_traj=20, t_total=20.0)
+    check = {c.name: c for c in _monte_carlo_group(config).checks}["populations_within_3_sigma"]
+    assert not check.passed
+    assert "not unique" in check.detail and "optical-pumping gap" in check.detail
+    assert "weak-drive limit" in check.detail
+    assert "never leaves the pi pair" not in check.detail
+    # undriven, the state is degenerate and each trajectory stays in the level it starts in
+    undriven = RunConfig(g=0.0, n_traj=20, t_total=20.0)
+    check = {c.name: c for c in _monte_carlo_group(undriven).checks}["populations_within_3_sigma"]
+    assert not check.passed and "never leaves the pi pair it starts in" in check.detail
+    assert "weak-drive limit" not in check.detail
+
+
 def test_monte_carlo_group_says_when_no_trajectory_jumps():
     # at g = 0.001 no trajectory jumps within 20/Gamma, so every population has zero spread
     weak = RunConfig(g=0.001, n_traj=20, t_total=20.0)

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import atompair
 from atompair import (
     Detector,
     DriveDecayParams,
@@ -376,6 +380,16 @@ class TestSteadyStateCommand:
         assert float(metadata["mc_jumps_per_traj"]) > 0
         entry_col = [cells[0] for cells in rows]
         assert "rho11" in entry_col and "rho34" in entry_col
+
+    def test_same_seed_same_bytes_across_processes(self, tmp_path):
+        # two interpreters with the same seed write identical output: nothing in the draws
+        # depends on process state such as hash randomization or entropy from the OS
+        cfg = write_config(tmp_path, "n_traj = 200\nt_total = 20\n")
+        argv = [sys.executable, "-m", "atompair.cli", "steady-state", "--config", cfg]
+        argv += ["--seed", "7", "--output", "-"]
+        env = dict(os.environ, PYTHONPATH=str(Path(atompair.__file__).parents[1]))
+        runs = [subprocess.run(argv, env=env, capture_output=True, check=True) for _ in range(2)]
+        assert runs[0].stdout == runs[1].stdout and b"mc_re" in runs[0].stdout
 
 
 class TestValidateCommand:

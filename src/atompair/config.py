@@ -106,6 +106,10 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
+    for key, allowed in _CHOICES.items():
+        value = getattr(config, key)
+        if value not in allowed:
+            raise ConfigError(f"key '{key}' must be one of {allowed}, got {value!r}")
     for key, default in sorted(_DEFAULTS.items()):
         value = getattr(config, key)
         numeric = isinstance(default, float) or key in _VECTOR_LENGTHS

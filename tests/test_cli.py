@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from atompair import (
     standard_geometry,
     steady_state_analytic,
 )
-from atompair.cli import _build_parser, _write_json, main
+from atompair.cli import _COMMANDS, _build_parser, _write_json, main
 from atompair.config import ConfigError, RunConfig, parse_config_text
 from atompair.dynamics import QuantumJumpResult
 from atompair.scans import reference_direction, scan_direction
@@ -81,8 +83,26 @@ class TestConfigParsing:
             parse_config_text("pol_2 = custom\n")
 
     def test_choice_validation(self):
-        with pytest.raises(ConfigError, match="scan_plane"):
+        with pytest.raises(ConfigError, match="line 1: key 'scan_plane' must be one of"):
             parse_config_text("scan_plane = yz\n")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("scheme", "three-level"),
+            ("scan_plane", "yz"),
+            ("pol_1", "circular"),
+            ("pol_2", "circular"),
+            ("format", "xml"),
+        ],
+    )
+    def test_choice_checked_when_built(self, key, value):
+        # a config built in code or overridden by replace() passes the check a config file does
+        message = f"key '{key}' must be one of .*, got '{value}'"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**{key: value})
+        with pytest.raises(ConfigError, match=message):
+            replace(RunConfig(), **{key: value})
 
     def test_every_key_parses_as_its_default(self):
         # each default written out as a config line reads back as the same value and type
@@ -200,6 +220,28 @@ class TestExitCodes:
         assert code == 1
 
 
+class TestDefaultRuns:
+    """Each command at the defaults, with no config file: what the console script runs."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, columns", [("intensity-scan", 3), ("g2-scan", 9)])
+    def test_scan_prints_its_table(self, tmp_path, capsys, monkeypatch, command, columns):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--output", "-"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        table = [line.split(",") for line in lines if not line.startswith("#")]
+        assert len(table) == 1 + 360 and {len(cells) for cells in table} == {columns}
+        assert "# path = -" in lines and not any(line.startswith("wrote") for line in lines)
+        assert list(tmp_path.iterdir()) == []  # "-" prints and writes no file
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_validate_passes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().out.endswith("PASS  overall\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestIntensityScanCommand:
     def test_sigma_flat(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "pol_1 = sigma\n")
@@ -304,6 +346,24 @@ class TestG2ScanCommand:
             phase, g2n = float(cells[1]), float(cells[5])
             assert abs(g2n - 0.5 * (1 + math.cos(phase))) < 1e-10
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "scan_plane = xz\npol_1 = sigma\npol_2 = sigma\n",
+            "scheme = two-level\n",
+            # every atom phase nontrivial
+            "separation_wavelengths = 0.8\ndrive_direction = 0.3, 0.5, 0.2\npol_1 = sigma\n",
+        ],
+        ids=["defaults", "xz-sigma-sigma", "two-level", "geometry"],
+    )
+    def test_factorized_matches_oracle(self, tmp_path, text):
+        # the factorized column against the product-space oracle, point by point
+        out = tmp_path / "g2.json"
+        argv = ["g2-scan", "--config", write_config(tmp_path, text), "--output", str(out)]
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(out.read_text())["metadata"]["max_factorized_vs_exact"] <= 1e-12
+
     def test_orthogonal_flat(self, tmp_path):
         cfg = write_config(tmp_path, "pol_1 = pi\npol_2 = sigma\nscan_points = 120\n")
         out = str(tmp_path / "g2.csv")
@@ -381,6 +441,23 @@ class TestSteadyStateCommand:
         entry_col = [cells[0] for cells in rows]
         assert "rho11" in entry_col and "rho34" in entry_col
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "g = 0.5\ngamma0 = 0.5\ngamma = 0.5\nt_total = 20\n",
+            "g = 1000\nt_total = 20\n",
+            "g = 0.05\nt_total = 200\n",
+        ],
+        ids=["critical", "strong", "overdamped"],
+    )
+    def test_monte_carlo_branch_raises_no_warning(self, tmp_path, capsys, text):
+        # the no-jump map where it divides by kappa = 0, where it unwinds many turns per grid
+        # step, and on its overdamped branch
+        cfg = write_config(tmp_path, text + "n_traj = 20\n")
+        assert main(["steady-state", "--config", cfg, "--output", "-"]) == 0
+        assert "mc_re" in capsys.readouterr().out
+
     def test_same_seed_same_bytes_across_processes(self, tmp_path):
         # two interpreters with the same seed write identical output: nothing in the draws
         # depends on process state such as hash randomization or entropy from the OS
@@ -430,6 +507,34 @@ class TestValidateCommand:
         assert "FAIL  monte_carlo.populations_within_3_sigma: max |population pull| = inf " in out
         assert main(["steady-state", "--config", cfg]) == 0
         assert "max population pull       = inf standard errors" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "gamma0 = 1\ngamma = 0\nn_traj = 200\n",
+                [
+                    "FAIL  monte_carlo.populations_within_3_sigma: steady state is not unique",
+                    "; the Monte Carlo never leaves the pi pair it starts in",
+                ],
+            ),
+            (
+                "n_traj = 1\n",
+                [
+                    "FAIL  monte_carlo.populations_within_3_sigma: max |population pull| = nan "
+                    "standard errors",
+                    "; one trajectory gives no standard error\n",
+                ],
+            ),
+        ],
+        ids=["no-sigma-decay", "one-trajectory"],
+    )
+    def test_undefined_pull_fails_and_says_why(self, tmp_path, capsys, text, expected):
+        cfg = write_config(tmp_path, text + "t_total = 20\n")
+        assert main(["validate", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert all(part in out for part in expected), out
+        assert out.endswith("FAIL  overall\n")
 
     def test_has_no_fault_injection_switch(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -545,28 +650,107 @@ def reference_outputs(tmp_dir):
     return outputs
 
 
+def reference_mismatches(got, ref):
+    """The fields where one output payload differs from its stored reference: strings exactly,
+    metadata numbers by more than 1e-12 of max(1, |value|), and numeric columns by more than 1e-12
+    of the column's largest |value| (numpy builds differ in the last bits)."""
+    if any(sorted(got[part]) != sorted(ref[part]) for part in ("metadata", "columns")):
+        return ["field names"]
+    bad = []
+    for name, value in ref["metadata"].items():
+        if isinstance(value, str):
+            same = got["metadata"][name] == value
+        else:
+            same = abs(got["metadata"][name] - value) <= 1e-12 * max(1.0, abs(value))
+        if not same:
+            bad.append(f"metadata {name}: {got['metadata'][name]!r} against {value!r}")
+    for name, column in ref["columns"].items():
+        if isinstance(column[0], str):
+            same = got["columns"][name] == column
+        else:
+            column, values = np.asarray(column, dtype=float), np.asarray(got["columns"][name])
+            atol = 1e-12 * np.max(np.abs(column))
+            same = values.shape == column.shape and np.allclose(
+                values, column, rtol=0, atol=atol, equal_nan=True
+            )
+        if not same:
+            bad.append(f"column {name}")
+    return bad
+
+
+def refreshed_reference(stored, actual):
+    """The reference entries after a regeneration, and the keys rewritten: a stored entry that
+    still matches its run is kept as stored, so last-bit noise leaves no diff; failing and new
+    runs are written from ``actual``, and runs that no longer exist are dropped."""
+    entries, rewritten = {}, []
+    for key, got in actual.items():
+        if key in stored and not reference_mismatches(got, stored[key]):
+            entries[key] = stored[key]
+        else:
+            entries[key] = got
+            rewritten.append(key)
+    return entries, rewritten
+
+
 def test_outputs_match_stored_reference(tmp_path):
     expected = json.loads(REFERENCE_PATH.read_text(encoding="utf-8"))
     actual = reference_outputs(tmp_path)
     assert sorted(actual) == sorted(expected)
     for key, ref in expected.items():
-        got = actual[key]
-        assert sorted(got["metadata"]) == sorted(ref["metadata"]), key
-        for name, value in ref["metadata"].items():
-            if isinstance(value, str):
-                assert got["metadata"][name] == value, (key, name)
-            else:
-                tol = 1e-12 * max(1.0, abs(value))
-                assert abs(got["metadata"][name] - value) <= tol, (key, name)
-        assert sorted(got["columns"]) == sorted(ref["columns"]), key
-        for name, column in ref["columns"].items():
-            if isinstance(column[0], str):
-                assert got["columns"][name] == column, (key, name)
-                continue
-            column = np.asarray(column, dtype=float)
-            # numpy builds differ in the last bits: 1e-12 of the column's largest |value|
-            atol = 1e-12 * np.max(np.abs(column))
-            np.testing.assert_allclose(got["columns"][name], column, rtol=0, atol=atol, err_msg=key)
+        bad = reference_mismatches(actual[key], ref)
+        assert not bad, (key, bad)
+
+
+def test_reference_writer_keeps_matching_entries():
+    run = {"metadata": {"g": 0.7, "scheme": "two-level"}, "columns": {"value": [0.25, -1.0]}}
+
+    def shifted(delta):
+        entry = json.loads(json.dumps(run))
+        entry["columns"]["value"][0] += delta
+        return entry
+
+    stored = {"noise": shifted(1e-15), "change": shifted(1e-6), "gone": run}
+    entries, rewritten = refreshed_reference(stored, {"noise": run, "change": run, "new": run})
+    assert entries == {"noise": stored["noise"], "change": run, "new": run}
+    assert rewritten == ["change", "new"]
+
+
+WORKFLOW_PATH = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+# a console-script call (``atompair <command>``) or a module call (``-m atompair.cli <command>``)
+_CLI_CALL = re.compile(r"(?<![\w.-])atompair(?:\.cli)?\s+([\w-]+)")
+
+
+def smoke_step_script(workflow_text):
+    """The lines of the ``run: |`` block of the CI step that smoke-tests the console script."""
+    lines = workflow_text.splitlines()
+    step = next(i for i, line in enumerate(lines) if line.strip().startswith("- name: Smoke-test"))
+    run = next(i for i in range(step + 1, len(lines)) if lines[i].strip() == "run: |")
+    # the block belongs to this step only if no other step starts before it
+    assert not any(line.strip().startswith("- ") for line in lines[step + 1 : run])
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    block = []
+    for line in lines[run + 1 :]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line)
+    while block and not block[-1].strip():
+        block.pop()
+    return block
+
+
+def test_smoke_step_runs_each_command_once():
+    # every CLI behaviour is asserted in this file; CI's smoke step only proves the installed
+    # entry point runs, so it calls each command once and must not grow back
+    script = smoke_step_script(WORKFLOW_PATH.read_text(encoding="utf-8"))
+    calls = [
+        match.group(1)
+        for line in script
+        if not line.lstrip().startswith("#")
+        for match in _CLI_CALL.finditer(line)
+    ]
+    assert all(command in _COMMANDS for command in calls), calls
+    assert sorted(calls) == sorted(_COMMANDS), calls  # each command exactly once
+    assert len(script) <= 25
 
 
 if __name__ == "__main__":
@@ -574,6 +758,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         outputs = reference_outputs(tmp)
+    stored = json.loads(REFERENCE_PATH.read_text(encoding="utf-8")) if REFERENCE_PATH.exists() else {}
+    entries, rewritten = refreshed_reference(stored, outputs)
     REFERENCE_PATH.parent.mkdir(exist_ok=True)
-    REFERENCE_PATH.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    REFERENCE_PATH.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {REFERENCE_PATH}")
+    print(f"rewritten: {', '.join(rewritten) or 'none'}")
+    print(f"dropped: {', '.join(sorted(set(stored) - set(entries))) or 'none'}")

@@ -36,6 +36,7 @@ formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,8 +168,13 @@ def modulation_depth(det_1: Detector, det_2: Detector) -> float:
     return float(abs(np.vdot(det_1.epsilon, det_2.epsilon)) ** 2)
 
 
+@functools.lru_cache(maxsize=1)
 def _steady_state(scheme: LevelScheme, params: DriveDecayParams) -> np.ndarray:
-    return steady_state_numeric(build_liouvillian(scheme, params))
+    """The null-space steady state, kept read-only for the last (scheme object, params) asked:
+    a detector loop over one parameter set solves once."""
+    rho = steady_state_numeric(build_liouvillian(scheme, params))
+    rho.setflags(write=False)
+    return rho
 
 
 def g2_normalized(
@@ -178,7 +184,11 @@ def g2_normalized(
     det_1: Detector,
     det_2: Detector,
 ) -> float:
-    """Normalized coincidence rate g2(1,2) = G2(1,2)/(I(1) I(2)) in steady state."""
+    """Normalized coincidence rate g2(1,2) = G2(1,2)/(I(1) I(2)) in steady state.
+
+    The steady state is solved once per scheme object and params (the last pair asked is
+    kept), so a loop over detector pairs should pass the same two objects.
+    """
     return float(_point(scheme, geometry, det_1, det_2, _steady_state(scheme, params))[2])
 
 
@@ -256,7 +266,11 @@ def correlation_point(
     det_2: Detector,
     rho: np.ndarray | None = None,
 ) -> CorrelationResult:
-    """Bundle of the second-order quantities for one detector pair in steady state."""
+    """Bundle of the second-order quantities for one detector pair in steady state.
+
+    Without ``rho`` the steady state is solved as in :func:`g2_normalized`: once per scheme
+    object and params, so a loop over detector pairs should pass the same two objects.
+    """
     if rho is None:
         rho = _steady_state(scheme, params)
     g2, gam2, g2_12, witness = _point(scheme, geometry, det_1, det_2, rho)

@@ -358,8 +358,7 @@ def quantum_jump_estimate(
             x_d, y_d = _no_jump(pair, delta, x, y)
             excess, slope = x_d**2 + y_d**2 - thresh, 2 * pair[0] * y_d**2
             lo, hi = np.where(excess >= 0, delta, lo), np.where(excess >= 0, hi, delta)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = -excess / slope
+            step = -excess / slope
             inside = (delta - step > lo) & (delta - step < hi)
             newton = inside & (2.0 * abs(step) <= abs(prev_step))
             step = np.where(newton, step, delta - (lo + hi) / 2)

@@ -5,6 +5,7 @@ import pytest
 from atompair import (
     DriveDecayParams,
     build_liouvillian,
+    correlations,
     hg_level_scheme,
     standard_geometry,
     steady_state_numeric,
@@ -32,6 +33,18 @@ def patch_aliases(monkeypatch, target, replacement):
     return aliases
 
 
+def count_solves(monkeypatch):
+    """Count the null-space solves made from here on; returns the growing list of calls."""
+    solve, calls = steady_state_numeric, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    patch_aliases(monkeypatch, solve, counted)
+    return calls
+
+
 def substitute_rejected_formula(monkeypatch):
     """Make every validation check that reads the closed-form steady state read the rejected
     ground populations of ``validation._rejected_steady_state`` instead.
@@ -48,6 +61,13 @@ def substitute_rejected_formula(monkeypatch):
         return rho
 
     monkeypatch.setattr(validation, "steady_state_analytic", rejected)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_steady_state_memo():
+    """Start every test with no memoized steady state, so a test that patches the solver
+    cannot read a state solved by an earlier test on a module-level scheme."""
+    correlations._steady_state.cache_clear()
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from atompair import correlations, dynamics, exact_oracle, farfield, standard_geometry
+from atompair import correlations, exact_oracle, farfield, standard_geometry
 from atompair.config import RunConfig
 from atompair.validation import (
     _g2_modulation_group,
@@ -27,7 +27,7 @@ from atompair.validation import (
     run_validation,
 )
 
-from conftest import patch_aliases, substitute_rejected_formula
+from conftest import count_solves, patch_aliases, substitute_rejected_formula
 
 GEOMETRY = standard_geometry(0.5)
 
@@ -163,14 +163,7 @@ def test_criterion_07_normalized_correlation():
 
 def test_normalized_group_solves_once(monkeypatch):
     # g2(1,1) comes from the state the group already solved, not from a second solve
-    solve = dynamics.steady_state_numeric
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    patch_aliases(monkeypatch, solve, counted)
+    calls = count_solves(monkeypatch)
     assert _normalized_group(GEOMETRY).passed
     assert len(calls) == 1
 

@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from atompair import (
+    DegenerateSteadyStateError,
     Detector,
     DriveDecayParams,
     Geometry,
@@ -24,10 +26,10 @@ from atompair import (
     witness_from_g2,
 )
 from atompair.atom_model import Y_HAT, pi_polarization, sigma_polarization
-from atompair.correlations import _g2_normalized_closed_form
+from atompair.correlations import _g2_normalized_closed_form, _point, _steady_state
 from atompair.scans import g2_scan, scan_direction
 
-from conftest import random_params, random_transverse_detector
+from conftest import count_solves, random_params, random_transverse_detector
 
 
 def g2_baseline(scheme, geometry, det_1, det_2, rho):
@@ -310,3 +312,52 @@ class TestCorrelationPoint:
         assert abs(point.gamma2) <= point.modulation_depth <= 1.0
         assert point.g2 >= 0.0
         assert_allclose(point.gamma2, gamma2(geometry, det_1, det_2), atol=1e-12)
+
+
+class TestSteadyStateMemo:
+    def test_detector_loop_solves_once(self, monkeypatch, scheme, geometry, params):
+        calls = count_solves(monkeypatch)
+        rng = np.random.default_rng(71)
+        for _ in range(8):
+            det_1, det_2 = random_transverse_detector(rng), random_transverse_detector(rng)
+            g2_normalized(scheme, geometry, params, det_1, det_2)
+        assert len(calls) == 1
+
+    def test_new_scheme_or_drive_solves_again(self, monkeypatch, scheme, geometry, params):
+        calls = count_solves(monkeypatch)
+        det = sigma_ref()
+        stronger = DriveDecayParams(g=2.0 * params.g, gamma0=params.gamma0, gamma=params.gamma)
+        g2_normalized(scheme, geometry, params, det, det)
+        correlation_point(scheme, geometry, stronger, det, det)
+        assert len(calls) == 2
+        g2_normalized(hg_level_scheme(stronger), geometry, stronger, det, det)
+        assert len(calls) == 3
+
+    def test_results_equal_a_fresh_solve(self, geometry):
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            p = random_params(rng)
+            sch = hg_level_scheme(p)
+            det_1, det_2 = random_transverse_detector(rng), random_transverse_detector(rng)
+            fresh = _point(sch, geometry, det_1, det_2, steady_state_numeric(build_liouvillian(sch, p)))
+            for _ in range(2):  # the first call solves, the second reads the memo
+                assert g2_normalized(sch, geometry, p, det_1, det_2) == float(fresh[2])
+                point = correlation_point(sch, geometry, p, det_1, det_2)
+                assert (point.g2, point.gamma2, point.g2_normalized) == tuple(map(float, fresh[:3]))
+                assert (point.witness_lhs, point.witness_rhs) == (fresh[3].lhs, fresh[3].rhs)
+
+    def test_degenerate_state_is_never_cached(self, monkeypatch, geometry):
+        calls = count_solves(monkeypatch)
+        undriven = DriveDecayParams(g=0.0, gamma0=0.5, gamma=0.5)
+        sch, det = hg_level_scheme(undriven), sigma_ref()
+        for _ in range(3):
+            with pytest.raises(DegenerateSteadyStateError):
+                g2_normalized(sch, geometry, undriven, det, det)
+        assert len(calls) == 3
+        assert _steady_state.cache_info().currsize == 0
+
+    def test_memoized_state_is_read_only(self, scheme, params):
+        rho = _steady_state(scheme, params)
+        assert _steady_state(scheme, params) is rho
+        with pytest.raises(ValueError):
+            rho[0, 0] = 0.0

@@ -56,16 +56,30 @@ _UNIT_TOL = 1e-12
 _TRANSVERSE_TOL = 1e-9
 
 
-def _as_cvec(v) -> np.ndarray:
-    a = np.asarray(v, dtype=complex).reshape(3)
+def _frozen(v, dtype) -> np.ndarray:
+    """v as a read-only 3-vector of dtype."""
+    a = np.asarray(v, dtype=dtype).reshape(3)
     a.setflags(write=False)
     return a
 
 
-def _as_rvec(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float).reshape(3)
-    a.setflags(write=False)
-    return a
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of one 3-vector, shape (1,), or of every row of an (N, 3) stack, shape
+    (N, 1); each rounded as ``np.linalg.norm`` rounds one vector: one dot product per row (and
+    per part if complex)."""
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    return np.sqrt(sum(np.matmul(part[..., None, :], part[..., :, None])[..., 0] for part in parts))
+
+
+def _density_matrix(rho, dim: int, label: str) -> np.ndarray:
+    """rho as a complex (dim, dim) array, rejected unless every entry is finite: a nan or inf
+    would otherwise spread silently through every trace."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise ValueError(f"{label} must have shape ({dim}, {dim}), got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError(f"{label} must have finite entries")
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +93,7 @@ class Transition:
     driven: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "dipole", _as_cvec(self.dipole))
+        object.__setattr__(self, "dipole", _frozen(self.dipole, complex))
         if not 0 <= self.decay_rate < math.inf:
             raise ValueError(f"decay rate must be >= 0 and finite, got {self.decay_rate}")
 
@@ -154,9 +168,9 @@ class Geometry:
     n_l: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r_a", _as_rvec(self.r_a))
-        object.__setattr__(self, "r_b", _as_rvec(self.r_b))
-        object.__setattr__(self, "n_l", _as_rvec(self.n_l))
+        object.__setattr__(self, "r_a", _frozen(self.r_a, float))
+        object.__setattr__(self, "r_b", _frozen(self.r_b, float))
+        object.__setattr__(self, "n_l", _frozen(self.n_l, float))
         if not (np.all(np.isfinite(self.r_a)) and np.all(np.isfinite(self.r_b))):
             raise ValueError("atom positions must be finite")
         if not abs(np.linalg.norm(self.n_l) - 1.0) <= _UNIT_TOL:
@@ -183,8 +197,8 @@ class Detector:
     epsilon: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _as_rvec(self.n))
-        object.__setattr__(self, "epsilon", _as_cvec(self.epsilon))
+        object.__setattr__(self, "n", _frozen(self.n, float))
+        object.__setattr__(self, "epsilon", _frozen(self.epsilon, complex))
         if not abs(np.linalg.norm(self.n) - 1.0) <= _UNIT_TOL:
             raise ValueError("observation direction n must be a unit vector")
         if not abs(np.vdot(self.epsilon, self.epsilon).real - 1.0) <= _UNIT_TOL:
@@ -248,17 +262,19 @@ def transverse_basis(n) -> tuple[np.ndarray, np.ndarray]:
 
     e1 lies in the plane spanned by n and z (it is the normalized transverse
     projection of z); when n is (anti)parallel to z that plane degenerates
-    and the convention is e1 = x, e2 = n x e1.
+    and the convention is e1 = x, e2 = n x e1.  n is one direction, shape (3,),
+    or one per row, shape (N, 3); e1 and e2 are complex and of n's shape, each
+    row bit for bit what a call on that row alone returns.
     """
-    n = np.asarray(n, dtype=float).reshape(3)
-    if not abs(np.linalg.norm(n) - 1.0) <= _UNIT_TOL:
+    n = np.asarray(n, dtype=float)
+    if n.ndim != 2 or n.shape[1] != 3:
+        n = n.reshape(3)
+    if not np.all(np.abs(_norms(n) - 1.0) <= _UNIT_TOL):
         raise ValueError("n must be a unit vector")
-    e1 = Z_HAT - n[2] * n
-    norm = np.linalg.norm(e1)
-    if norm < 1e-8:
-        e1 = X_HAT.copy()
-    else:
-        e1 = e1 / norm
+    e1 = Z_HAT - n[..., 2:] * n
+    norm = _norms(e1)
+    along_z = norm < 1e-8
+    e1 = np.where(along_z, X_HAT, e1 / np.where(along_z, 1.0, norm))
     e2 = np.cross(n, e1)
     return e1.astype(complex), e2.astype(complex)
 

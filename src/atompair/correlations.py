@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom_model import Detector, DriveDecayParams, Geometry, LevelScheme, WAVENUMBER
+from .atom_model import _density_matrix
 from .dynamics import build_liouvillian, steady_state_numeric
 from .farfield import g1  # noqa: F401  (perfbench/tests checks the tracer rebinds this alias)
 from .farfield import intensity_visibility, lowering_coefficients
@@ -62,23 +63,11 @@ __all__ = [
 _WITNESS_MARGIN = 1e-12
 
 
-def _checked_state(scheme: LevelScheme, rho) -> np.ndarray:
-    """rho as a complex (d, d) array of the scheme's d levels, rejected unless every entry is
-    finite: a nan or inf would otherwise spread silently through every trace."""
-    rho = np.asarray(rho, dtype=complex)
-    dim = scheme.n_levels
-    if rho.shape != (dim, dim):
-        raise ValueError(f"single-atom state must have shape ({dim}, {dim}), got {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ValueError("single-atom state must have finite entries")
-    return rho
-
-
 def _traces(scheme: LevelScheme, rho, *epsilons) -> tuple[np.ndarray, np.ndarray]:
     """Single-atom traces a[..., i, j] = tr(rho c_i^dag c_j) and m[..., i] = tr(rho c_i) of
     analyzers that are each one vector (shape (3,)) or one per row (shape (N, 3))."""
     c = np.stack([lowering_coefficients(scheme, eps) for eps in epsilons], axis=-3)
-    rho = _checked_state(scheme, rho)
+    rho = _density_matrix(rho, scheme.n_levels, "single-atom state")
     a = np.einsum("xy,...iky,...jkx->...ij", rho, c.conj(), c)
     return a, np.einsum("xy,...iyx->...i", rho, c)
 

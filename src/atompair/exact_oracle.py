@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .atom_model import Detector, Geometry, LevelScheme
+from .atom_model import Detector, Geometry, LevelScheme, _density_matrix
 from .farfield import _geometric_phases, lowering_coefficients
 
 __all__ = [
@@ -72,16 +72,6 @@ def pair_field_matrix(scheme: LevelScheme, geometry: Geometry, detector: Detecto
     return _detector_fields(scheme, geometry, detector)[0]
 
 
-def _check_pair_state(scheme: LevelScheme, rho_ab) -> np.ndarray:
-    rho_ab = np.asarray(rho_ab, dtype=complex)
-    dim = scheme.n_levels**2
-    if rho_ab.shape != (dim, dim):
-        raise ValueError(f"pair state must have shape ({dim}, {dim}), got {rho_ab.shape}")
-    if not np.isfinite(rho_ab).all():
-        raise ValueError("pair state must have finite entries")
-    return rho_ab
-
-
 def _real_traces(values: np.ndarray, label: str) -> np.ndarray:
     """Real parts of traces that must be real, each checked on its own scale."""
     reals = []
@@ -119,7 +109,7 @@ def _intensities(e: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 def intensity_exact(scheme: LevelScheme, geometry: Geometry, detector: Detector, rho_ab) -> float:
     """tr(rho_AB E^(-) E^(+)) without any factorization assumption."""
-    rho_ab = _check_pair_state(scheme, rho_ab)
+    rho_ab = _density_matrix(rho_ab, scheme.n_levels**2, "pair state")
     return float(_intensities(_detector_fields(scheme, geometry, detector), rho_ab)[0])
 
 
@@ -133,8 +123,9 @@ def g2_exact(
     cross-atom two-photon amplitudes survive, which is where the fringes
     come from.
     """
+    rho_ab = _density_matrix(rho_ab, scheme.n_levels**2, "pair state")
     e_1, e_2 = _detector_fields(scheme, geometry, det_1, det_2)[:, None]
-    return float(_coincidences(e_1, e_2, _check_pair_state(scheme, rho_ab))[0])
+    return float(_coincidences(e_1, e_2, rho_ab)[0])
 
 
 def _g2_exact_scan(
@@ -144,7 +135,7 @@ def _g2_exact_scan(
     With sigma = E1^(+) rho_AB E1^(-) and E2^(+)(n) = phi_A(n) B_A + phi_B(n) B_B, where
     B_A = kron(c2, 1) and B_B = kron(1, c2), the rate is sum_km phi_k conj(phi_m) Q_km with
     Q_km = tr(B_k sigma B_m^dag): real at every phase pair exactly when Q is Hermitian."""
-    rho_ab = _check_pair_state(scheme, rho_ab)
+    rho_ab = _density_matrix(rho_ab, scheme.n_levels**2, "pair state")
     e_1 = _detector_fields(scheme, geometry, det_1)[0]
     b = _pair_fields(scheme, np.eye(2), epsilon_2)
     q = np.einsum("kij,mij->km", b @ (e_1 @ rho_ab @ e_1.conj().T), b.conj())
@@ -174,7 +165,7 @@ def conditioned_state(
     conditioned expectation of that detector's intensity, which is how
     detecting the first photon entangles initially uncorrelated atoms.
     """
-    rho_ab = _check_pair_state(scheme, rho_ab)
+    rho_ab = _density_matrix(rho_ab, scheme.n_levels**2, "pair state")
     sigma, rates = _conditioned(_detector_fields(scheme, geometry, det_1), rho_ab)
     rate = float(rates[0])
     return ConditionedState(unnormalized=sigma[0], rate=rate, normalized=sigma[0] / rate)

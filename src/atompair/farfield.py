@@ -27,6 +27,7 @@ from .atom_model import (
     LevelScheme,
     WAVENUMBER,
     Z_HAT,
+    _density_matrix,
     _rescaled,
 )
 
@@ -91,16 +92,9 @@ def field_operator(
     return FieldOperator(atom=atom, phase=geometric_phase(geometry, detector, atom), coeff=coeff)
 
 
-def _check_rho(op: FieldOperator, rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != op.coeff.shape:
-        raise ValueError(f"density matrix shape {rho.shape} does not match operator {op.coeff.shape}")
-    return rho
-
-
 def mean_field(op: FieldOperator, rho) -> complex:
     """Mean radiated amplitude <E^(+)> = phase * tr(rho coeff)."""
-    rho = _check_rho(op, rho)
+    rho = _density_matrix(rho, len(op.coeff), "single-atom state")
     return op.phase * complex(np.trace(rho @ op.coeff))
 
 
@@ -115,7 +109,7 @@ def g1(op_i: FieldOperator, op_j: FieldOperator, rho) -> complex:
         raise ValueError(
             f"g1 is a single-atom quantity; got operators for atoms {op_i.atom!r} and {op_j.atom!r}"
         )
-    rho = _check_rho(op_i, rho)
+    rho = _density_matrix(rho, len(op_i.coeff), "single-atom state")
     return (
         np.conj(op_i.phase)
         * op_j.phase

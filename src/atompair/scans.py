@@ -52,11 +52,12 @@ from .atom_model import (
     Detector,
     Geometry,
     LevelScheme,
+    _density_matrix,
     _keyword_polarization,
     pi_polarization,
     sigma_polarization,
 )
-from .correlations import _checked_state, _fringe_phase, _intensity, _pair_correlations, _traces
+from .correlations import _fringe_phase, _intensity, _pair_correlations, _traces
 from .exact_oracle import _g2_exact_scan
 
 __all__ = [
@@ -223,5 +224,5 @@ def g2_exact_scan(
     Detector 1's conditioned pair state and detector 2's 2x2 form in the atoms' phases are
     built once, and the scan's phases enter as one array."""
     _, n_2, (det_1, det_2) = _scan_grid(plane, n_points, polarization_1, polarization_2)
-    rho = _checked_state(scheme, rho)
+    rho = _density_matrix(rho, scheme.n_levels, "single-atom state")
     return _g2_exact_scan(scheme, geometry, det_1, n_2, det_2.epsilon, np.kron(rho, rho))

@@ -47,18 +47,15 @@ def count_solves(monkeypatch):
 
 def substitute_rejected_formula(monkeypatch):
     """Make every validation check that reads the closed-form steady state read the rejected
-    ground populations of ``validation._rejected_steady_state`` instead.
+    ground populations of ``validation._with_rejected_populations`` instead.
 
-    That function calls ``steady_state_analytic`` by name, so the fake is built on the closed
-    form captured before patching; going through the patched name would recurse.
+    The fake is built on the closed form captured before patching; going through the patched
+    name would recurse.
     """
     closed_form = validation.steady_state_analytic
 
     def rejected(params):
-        rho = closed_form(params)
-        g, gam = params.g, params.total
-        rho[1, 1] = rho[3, 3] = 1.0 - (3.0 * g**2 - gam**2) / (2.0 * (2.0 * g**2 + gam**2))
-        return rho
+        return validation._with_rejected_populations(closed_form(params), params)
 
     monkeypatch.setattr(validation, "steady_state_analytic", rejected)
 

@@ -7,14 +7,17 @@ defined once, in the groups.  Run with ``pytest tests/test_acceptance.py -v -s``
 to see one summary line per criterion, built from the check details.
 """
 
+import math
 import re
 import time
 
 import numpy as np
+import pytest
 
 from atompair import correlations, exact_oracle, farfield, standard_geometry
 from atompair.config import RunConfig
 from atompair.validation import (
+    Group,
     _g2_modulation_group,
     _monte_carlo_group,
     _normalized_group,
@@ -261,3 +264,18 @@ def test_failing_fringe_check_reports_the_bound_it_misses():
     bounds = re.findall(r"= (\S+) \(tol (\S+)\)", check.detail)
     assert len(bounds) == 2
     assert any(float(value) > float(tol) for value, tol in bounds)
+
+
+@pytest.mark.parametrize(
+    "tol, text", [(1e-9, "1e-9"), (1e-10, "1e-10"), (1e-12, "1e-12"), (1e-14, "1e-14")]
+)
+def test_bound_states_its_tolerance_as_written(tol, text):
+    group = Group("bounds")
+    group.bound("below", 0.5 * tol, tol, "|x|", " over 3 draws")
+    group.bound("equal", tol, tol, "|x|")
+    group.bound("nan", math.nan, tol, "|x|")
+    below, equal, nan = group.checks
+    assert below.detail == f"|x| = {0.5 * tol:.3e} over 3 draws (tol {text})"
+    assert equal.detail == f"|x| = {tol:.3e} (tol {text})"
+    # a bound passes only strictly below its tolerance; nan never passes
+    assert below.passed and not equal.passed and not nan.passed

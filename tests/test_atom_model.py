@@ -120,8 +120,22 @@ class TestTransverseBasis:
         assert_allclose(e2, Y_HAT.astype(complex), atol=1e-15)
 
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            transverse_basis([0.0, 0.0, 2.0])
+        # one vector, and a stack with one non-unit row
+        for n in ([0.0, 0.0, 2.0], [X_HAT, Y_HAT, [0.0, 0.0, 2.0]]):
+            with pytest.raises(ValueError, match="n must be a unit vector"):
+                transverse_basis(n)
+
+    def test_stack_rows_are_one_at_a_time_calls(self):
+        # random rows, plus rows on the along-z branch: +z, -z and 1e-9 from z
+        rng = np.random.default_rng(13)
+        n = np.vstack([rng.normal(size=(20, 3)), Z_HAT, -Z_HAT, [1e-9, 0.0, 1.0]])
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        e1, e2 = transverse_basis(n)
+        assert e1.shape == e2.shape == n.shape
+        for k, row in enumerate(n):
+            one = transverse_basis(row)
+            assert e1[k].tobytes() == one[0].tobytes() and e2[k].tobytes() == one[1].tobytes()
+        assert np.array_equal(e1[-3:], np.tile(X_HAT, (3, 1)))
 
     def test_orthonormal_random(self):
         rng = np.random.default_rng(5)

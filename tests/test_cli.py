@@ -41,8 +41,7 @@ def read_csv(path):
     metadata = {}
     rows = []
     header = None
-    for line in open(path, encoding="utf-8"):
-        line = line.rstrip("\n")
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
             metadata[key.strip()] = value.strip()
@@ -311,7 +310,7 @@ class TestIntensityScanCommand:
             for name in ("a", "b"):
                 out = str(tmp_path / f"{name}.{fmt}")
                 assert main([command, "--config", cfg, "--output", out, "--format", fmt]) == 0
-                outs.append(open(out, "rb").read())
+                outs.append(Path(out).read_bytes())
             # the config echo records the output path; strip it before comparing
             strip = lambda blob: b"\n".join(
                 line
@@ -402,7 +401,7 @@ class TestG2ScanCommand:
         main(["g2-scan", "--config", cfg, "--output", out_csv, "--format", "csv"])
         main(["g2-scan", "--config", cfg, "--output", out_json, "--format", "json"])
         _, header, rows = read_csv(out_csv)
-        payload = json.loads(open(out_json, encoding="utf-8").read())
+        payload = json.loads(Path(out_json).read_text(encoding="utf-8"))
         for j, name in enumerate(header):
             json_col = payload["columns"][name]
             for i, cells in enumerate(rows):
@@ -477,7 +476,7 @@ class TestValidateCommand:
         captured = capsys.readouterr().out
         assert code == 0, captured
         assert "PASS  overall" in captured
-        report = json.loads(open(out, encoding="utf-8").read())
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
         assert report["passed"] is True
         names = {g["name"] for g in report["groups"]}
         assert {"steady_state", "trace_normalization", "monte_carlo"} <= names

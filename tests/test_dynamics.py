@@ -34,7 +34,7 @@ from atompair.dynamics import (
     unvectorize,
     vectorize,
 )
-from atompair.validation import _rejected_steady_state
+from atompair.validation import _with_rejected_populations
 
 from conftest import random_params
 from reference import check_density_matrix, jump_operators, liouvillian_matrix, propagate
@@ -154,10 +154,10 @@ class TestSteadyState:
 
     def test_discarded_variant_violates_trace(self):
         # the rejected closed-form candidate for rho22: trace -> 3 at g -> 0
-        p = DriveDecayParams(g=1e-8, gamma0=0.5, gamma=0.5)
-        assert abs(_rejected_steady_state(p).trace() - 3.0) < 1e-9
-        p1 = DriveDecayParams(g=1.0, gamma0=0.5, gamma=0.5)
-        assert abs(_rejected_steady_state(p1).trace() - 5 / 3) < 1e-12
+        for g, trace, tol in ((1e-8, 3.0, 1e-9), (1.0, 5 / 3, 1e-12)):
+            p = DriveDecayParams(g=g, gamma0=0.5, gamma=0.5)
+            rejected = _with_rejected_populations(steady_state_analytic(p), p)
+            assert abs(rejected.trace() - trace) < tol
 
     def test_numeric_matches_analytic_random(self):
         rng = np.random.default_rng(7)

@@ -98,6 +98,21 @@ class TestMeanField:
         with pytest.raises(ValueError, match="shape"):
             mean_field(op, np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_operator_route_rejects_non_finite_state(self, scheme, geometry, rho, bad):
+        det = pi_detector()
+        op = field_operator(scheme, geometry, det, "A")
+        rho = rho.copy()
+        rho[1, 1] = bad
+        calls = [
+            lambda: mean_field(op, rho),
+            lambda: g1(op, op, rho),
+            lambda: intensity(scheme, geometry, det, rho, rho),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite entries"):
+                call()
+
 
 class TestG1:
     def test_diagonal_value_any_polarization(self, scheme, geometry, params):

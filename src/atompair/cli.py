@@ -34,7 +34,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .atom_model import Detector, DriveDecayParams, hg_level_scheme, standard_geometry, two_level_scheme
+from .atom_model import Detector
 from .config import _VECTOR_LENGTHS, ConfigError, RunConfig, load_config
 from .dynamics import (
     build_liouvillian,
@@ -118,25 +118,10 @@ def _write_table(config: RunConfig, stem: str, metadata: dict, columns: dict) ->
     writer(config.path or f"{stem}.{config.format}", metadata, columns)
 
 
-def _model_from_config(config: RunConfig):
-    """(scheme, params, geometry) for a run configuration.
-
-    The two-level scheme uses the total half-rate gamma0 + gamma as its
-    single decay half-rate, so closed forms keep the same Gamma.
-    """
-    params = DriveDecayParams(g=config.g, gamma0=config.gamma0, gamma=config.gamma)
-    if config.scheme == "two-level":
-        scheme = two_level_scheme(params.total)
-    else:
-        scheme = hg_level_scheme(params)
-    geometry = standard_geometry(config.separation_wavelengths, config.drive_direction)
-    return scheme, params, geometry
-
-
 def _scan_inputs(config: RunConfig, analyzers: tuple[int, ...]):
     """Model, the vectors of the analyzers the command reads (1 for pol_1, 2 for pol_2) and the
     steady state a scan command scans."""
-    scheme, params, geometry = _model_from_config(config)
+    scheme, params, geometry = config.model
     n_ref = reference_direction(config.scan_plane)
     eps = []
     for which in analyzers:
@@ -150,7 +135,7 @@ def _scan_inputs(config: RunConfig, analyzers: tuple[int, ...]):
 
 
 def cmd_steady_state(config: RunConfig) -> int:
-    scheme, params, _ = _model_from_config(config)
+    scheme, params, _ = config.model
     liou = build_liouvillian(scheme, params)
     numeric = steady_state_numeric(liou)
     if config.scheme == "two-level":

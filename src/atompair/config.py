@@ -3,21 +3,30 @@
 The config file format is flat ``key = value`` text: one assignment per
 line, ``#`` starts a comment, keys are exactly the RunConfig field names.
 Vectors are comma-separated floats; complex analyzer vectors list six
-floats (re_x, im_x, re_y, im_y, re_z, im_z).  Parse errors name the line
-and key; every ``RunConfig`` is checked when built, ``replace`` overrides too.
+floats (re_x, im_x, re_y, im_y, re_z, im_z).  Every ``RunConfig`` is checked
+when built, ``replace`` overrides too, partly by building its model, and an
+error from a file names the line of each key at fault.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .atom_model import DriveDecayParams, hg_level_scheme, standard_geometry, two_level_scheme
+from .scans import _PLANES
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config"]
 
 
 class ConfigError(Exception):
-    """Malformed configuration; maps to CLI exit code 2."""
+    """Malformed configuration; maps to CLI exit code 2.  ``keys`` are the config keys at fault."""
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         _validate(self)
 
+    @property
+    def model(self):
+        """(scheme, params, geometry) of this run, built by :func:`_model`."""
+        drive = tuple(self.drive_direction)
+        return _model(self.g, self.gamma0, self.gamma, self.scheme, self.separation_wavelengths, drive)
+
     def polarization_vector(self, which: int) -> np.ndarray | None:
         raw = self.pol_1_vector if which == 1 else self.pol_2_vector
         if raw is None:
@@ -63,7 +78,7 @@ _VECTOR_LENGTHS = {"drive_direction": 3, "pol_1_vector": 6, "pol_2_vector": 6}
 
 _CHOICES = {
     "scheme": ("four-level", "two-level"),
-    "scan_plane": ("xy", "xz"),
+    "scan_plane": tuple(_PLANES),
     "pol_1": ("pi", "sigma", "custom"),
     "pol_2": ("pi", "sigma", "custom"),
     "format": ("csv", "json"),
@@ -72,6 +87,7 @@ _CHOICES = {
 
 def parse_config_text(text: str) -> RunConfig:
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -83,8 +99,9 @@ def parse_config_text(text: str) -> RunConfig:
         raw = raw.strip()
         if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        if key in values:
+        if key in lines:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
+        lines[key] = lineno
         try:
             if key in _VECTOR_LENGTHS:
                 count = _VECTOR_LENGTHS[key]
@@ -98,47 +115,52 @@ def parse_config_text(text: str) -> RunConfig:
                 values[key] = type(_DEFAULTS[key])(raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key '{key}': {exc}") from None
-        if key in _CHOICES and values[key] not in _CHOICES[key]:
-            raise ConfigError(
-                f"line {lineno}: key '{key}' must be one of {_CHOICES[key]}, got {values[key]!r}"
-            )
-    return RunConfig(**values)
+    try:
+        return RunConfig(**values)
+    except ConfigError as exc:
+        # the defaults pass every rule, so each rule error names a key set in this file
+        found = sorted(lines[key] for key in exc.keys if key in lines)
+        raise ConfigError(", ".join(f"line {n}" for n in found) + f": {exc}", exc.keys) from None
+
+
+@functools.lru_cache(maxsize=1)
+def _model(g, gamma0, gamma, scheme, separation_wavelengths, drive_direction):
+    """(scheme, params, geometry), each checked by its own type, whose ValueError becomes a
+    ConfigError on the keys it is built from.  The two-level scheme's one decay half-rate is
+    gamma0 + gamma, so closed forms keep Gamma.  The last values are kept: a config's check and
+    the command that runs it share one build."""
+    keys = ("g", "gamma0", "gamma")
+    try:
+        params = DriveDecayParams(g=g, gamma0=gamma0, gamma=gamma)
+        levels = two_level_scheme(params.total) if scheme == "two-level" else hg_level_scheme(params)
+        keys = ("separation_wavelengths", "drive_direction")
+        geometry = standard_geometry(separation_wavelengths, drive_direction)
+    except ValueError as exc:
+        raise ConfigError("keys " + "/".join(f"'{k}'" for k in keys) + f": {exc}", keys) from None
+    return levels, params, geometry
 
 
 def _validate(config: RunConfig) -> None:
     for key, allowed in _CHOICES.items():
         value = getattr(config, key)
         if value not in allowed:
-            raise ConfigError(f"key '{key}' must be one of {allowed}, got {value!r}")
-    for key, default in sorted(_DEFAULTS.items()):
-        value = getattr(config, key)
-        numeric = isinstance(default, float) or key in _VECTOR_LENGTHS
-        if numeric and value is not None and not np.all(np.isfinite(value)):
-            raise ConfigError(f"key '{key}' must be finite")
-    if config.g < 0:
-        raise ConfigError("key 'g' must be >= 0")
-    if config.gamma0 < 0 or config.gamma < 0:
-        raise ConfigError("keys 'gamma0'/'gamma' must be >= 0")
-    if config.gamma0 + config.gamma <= 0:
-        raise ConfigError("gamma0 + gamma must be > 0")
-    if config.separation_wavelengths <= 0:
-        raise ConfigError("key 'separation_wavelengths' must be > 0")
-    if config.scan_points < 2:
-        raise ConfigError("key 'scan_points' must be >= 2")
-    if config.n_traj < 1:
-        raise ConfigError("key 'n_traj' must be >= 1")
-    if config.seed < 0:
-        raise ConfigError("key 'seed' must be >= 0")
-    if config.t_total <= 0:
-        raise ConfigError("key 't_total' must be > 0")
-    if not np.any(config.drive_direction):
-        raise ConfigError("key 'drive_direction' must be a nonzero vector")
+            raise ConfigError(f"key '{key}' must be one of {allowed}, got {value!r}", (key,))
+    for key, valid, rule in (
+        ("scan_points", config.scan_points >= 2, ">= 2"),
+        ("n_traj", config.n_traj >= 1, ">= 1"),
+        ("seed", config.seed >= 0, ">= 0"),
+        ("t_total", 0 < config.t_total < np.inf, "> 0 and finite"),
+    ):
+        if not valid:
+            raise ConfigError(f"key '{key}' must be {rule}", (key,))
     for which, kind in ((1, config.pol_1), (2, config.pol_2)):
-        vector = config.polarization_vector(which)
+        key = f"pol_{which}_vector"
+        vector = getattr(config, key)
         if kind == "custom" and vector is None:
-            raise ConfigError(f"key 'pol_{which}' is custom but 'pol_{which}_vector' is missing")
-        if vector is not None and not np.any(vector):
-            raise ConfigError(f"key 'pol_{which}_vector' must be a nonzero vector")
+            raise ConfigError(f"key 'pol_{which}' is custom but '{key}' is missing", (f"pol_{which}",))
+        if vector is not None and not (np.all(np.isfinite(vector)) and np.any(vector)):
+            raise ConfigError(f"key '{key}' must be a nonzero vector of finite entries", (key,))
+    config.model  # the build is the check of every key it reads
 
 
 def load_config(path: str) -> RunConfig:

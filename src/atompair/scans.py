@@ -73,7 +73,14 @@ __all__ = [
     "scan_depth",
 ]
 
-_PLANES = ("xy", "xz")
+# per scan plane: the places of (cos, sin, 0) of the angle in n(theta), and the reference direction
+_PLANES = {"xy": ((0, 1, 2), (0.0, 1.0, 0.0)), "xz": ((1, 2, 0), (0.0, 0.0, 1.0))}
+
+
+def _plane(plane: str) -> tuple[tuple[int, int, int], tuple[float, float, float]]:
+    if plane not in _PLANES:
+        raise ValueError(f"scan plane must be one of {tuple(_PLANES)}, got {plane!r}")
+    return _PLANES[plane]
 
 
 def scan_angles(n_points: int) -> np.ndarray:
@@ -84,22 +91,15 @@ def scan_angles(n_points: int) -> np.ndarray:
 
 def scan_direction(plane: str, theta) -> np.ndarray:
     """Unit direction(s) at angle(s) theta; an array of N angles gives shape (N, 3)."""
+    places, _ = _plane(plane)
     theta = np.asarray(theta, dtype=float)
-    cos, sin, zero = np.cos(theta), np.sin(theta), np.zeros_like(theta)
-    if plane == "xy":
-        return np.stack([cos, sin, zero], axis=-1)
-    if plane == "xz":
-        return np.stack([sin, zero, cos], axis=-1)
-    raise ValueError(f"scan plane must be one of {_PLANES}, got {plane!r}")
+    parts = (np.cos(theta), np.sin(theta), np.zeros_like(theta))
+    return np.stack([parts[i] for i in places], axis=-1)
 
 
 def reference_direction(plane: str) -> np.ndarray:
     """Fixed detector direction of a scan: in plane, perpendicular to the atom axis."""
-    if plane == "xy":
-        return np.array([0.0, 1.0, 0.0])
-    if plane == "xz":
-        return np.array([0.0, 0.0, 1.0])
-    raise ValueError(f"scan plane must be one of {_PLANES}, got {plane!r}")
+    return np.array(_plane(plane)[1])
 
 
 def _scan_grid(plane: str, n_points: int, *polarizations):

@@ -399,10 +399,14 @@ def _population_pull(mc: QuantumJumpResult, reference: np.ndarray) -> float:
 
 def _monte_carlo_group(config: RunConfig) -> Group:
     group = Group("monte_carlo")
-    params = DriveDecayParams(g=config.g, gamma0=config.gamma0, gamma=config.gamma)
-    scheme = hg_level_scheme(params)
+    params = config.model[1]
+    scheme = hg_level_scheme(params)  # whatever the config's scheme: the closed form is four-level
     t_total = config.t_total / params.total
-    first = quantum_jump_estimate(scheme, params, config.n_traj, t_total, config.seed)
+    try:
+        first = quantum_jump_estimate(scheme, params, config.n_traj, t_total, config.seed)
+    except ValueError as exc:
+        group.add("populations_within_3_sigma", False, f"the Monte Carlo did not run: {exc}")
+        return group
     second = quantum_jump_estimate(scheme, params, config.n_traj, t_total, config.seed)
     identical = bool(
         np.array_equal(first.rho, second.rho) and np.array_equal(first.stderr, second.stderr)

@@ -134,7 +134,17 @@ class TestExitCodes:
         key = line.split("=")[0].strip()
         path = write_config(tmp_path, line + "\nn_traj = 20\nscan_points = 8\n")
         assert main([command, "--config", path]) == 2
-        assert f"key '{key}' must be finite" in capsys.readouterr().err
+        # a key the model is built from carries the message of the model type that rejects it
+        expected = {
+            "g": "g must be >= 0 and finite, got nan",
+            "gamma0": "decay half-rates must be >= 0 and finite",
+            "gamma": "decay half-rates must be >= 0 and finite",
+            "separation_wavelengths": "separation must be > 0 and finite",
+            "drive_direction": "vector entries must be finite",
+            "t_total": "key 't_total' must be > 0 and finite",
+        }.get(key, f"key '{key}' must be a nonzero vector of finite entries")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 1: ") and f"'{key}'" in err and expected in err
 
     @pytest.mark.parametrize("command", ["steady-state", "intensity-scan", "g2-scan", "validate"])
     @pytest.mark.parametrize("source", ["config", "flag"])
@@ -199,6 +209,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: key 'pol_1': ")
         assert "the transverse projection vanishes" in err
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("g = -1", "g"),
+            ("gamma0 = -1", "gamma0"),
+            ("gamma0 = 0\ngamma = 0", "gamma0"),
+            ("gamma0 = 1e308", "gamma0"),  # finite, but its decay rate 2 gamma0 is not
+            ("separation_wavelengths = 0", "separation_wavelengths"),
+            ("drive_direction = 0, 0, 0", "drive_direction"),
+            ("scan_plane = yz", "scan_plane"),
+            ("seed = -1", "seed"),
+            ("t_total = 0", "t_total"),
+            ("pol_2 = custom", "pol_2"),
+        ],
+    )
+    def test_rule_error_names_line_and_key(self, tmp_path, capsys, line, key):
+        # every rule a built RunConfig applies points at the file line of the value it rejects
+        path = write_config(tmp_path, f"n_traj = 20\n{line}\n")
+        assert main(["steady-state", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 2") and f"'{key}'" in err, err
 
     def test_config_error_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "nonsense_key = 1\n")
@@ -535,6 +567,18 @@ class TestValidateCommand:
         assert all(part in out for part in expected), out
         assert out.endswith("FAIL  overall\n")
 
+    def test_monte_carlo_that_cannot_run_fails_its_group(self, tmp_path, capsys):
+        # below 0.01/Gamma the Monte Carlo has no grid step: the report still names every group
+        cfg = write_config(tmp_path, "t_total = 0.005\n")
+        out = str(tmp_path / "report.json")
+        assert main(["validate", "--config", cfg, "--output", out]) == 1
+        assert "FAIL  monte_carlo.populations_within_3_sigma: " in capsys.readouterr().out
+        groups = json.loads(Path(out).read_text(encoding="utf-8"))["groups"]
+        assert [g["name"] for g in groups if not g["passed"]] == ["monte_carlo"]
+        assert len(groups) == 9
+        (check,) = groups[-1]["checks"]
+        assert "no samples collected; increase t_total" in check["detail"]
+
     def test_has_no_fault_injection_switch(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["validate", "--inject-trace-bug"])
@@ -587,6 +631,36 @@ def test_population_pull():
     assert pull([0.0, 1.0], [0.5, 0.0]) == math.inf
     assert pull([0.5, 0.5], [0.1, 0.125]) == 2.5
     assert math.isnan(pull([0.25, 0.75], [math.inf, math.inf]))  # one trajectory: no pull
+
+
+def test_command_reuses_the_model_its_config_check_built(monkeypatch):
+    # the config is checked twice (load, then the --seed override), by building its model once
+    atompair.config._model.cache_clear()
+    builds, build = [], atompair.config.standard_geometry
+    monkeypatch.setattr(
+        atompair.config, "standard_geometry", lambda *args: builds.append(1) or build(*args)
+    )
+    assert main(["intensity-scan", "--output", os.devnull, "--seed", "3"]) == 0
+    assert len(builds) == 1
+
+
+_NUMPY_ONLY_RUN = """
+import os, sys
+sys.modules["scipy"] = sys.modules["hypothesis"] = None  # importing either now raises
+before = set(sys.modules)
+from atompair.cli import main
+code = main(["intensity-scan", "--output", os.devnull])
+allowed = sys.stdlib_module_names | {"numpy", "atompair"}
+print(code, sorted({name.partition(".")[0] for name in set(sys.modules) - before} - allowed))
+"""
+
+
+def test_runs_on_numpy_alone():
+    # numpy is the one runtime dependency pyproject.toml declares; the test extras are not
+    env = dict(os.environ, PYTHONPATH=str(Path(atompair.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_RUN], env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.decode().splitlines()[-1] == "0 []"
 
 
 def test_parser_shared_across_calls(tmp_path, capsys):

@@ -19,7 +19,7 @@ from atompair import (
     steady_state_numeric,
     two_level_scheme,
 )
-from atompair import exact_oracle
+from atompair import config, exact_oracle, scans
 from atompair.scans import (
     g2_exact_scan,
     g2_scan,
@@ -239,3 +239,11 @@ def test_non_finite_single_atom_state(entry, bad):
     det = Detector(reference_direction("xy"), unit([1.0, 0.5j, 1.0]))
     with pytest.raises(ValueError, match="finite"):
         SINGLE_ATOM_ENTRY_POINTS[entry](scheme, GEOMETRY, det, rho)
+
+
+def test_scan_plane_rule_stated_once():
+    # one table of planes: both plane functions reject the same way, and the config offers its keys
+    for plane_function in (lambda plane: scan_direction(plane, 0.0), reference_direction):
+        with pytest.raises(ValueError, match=r"^scan plane must be one of \('xy', 'xz'\), got 'yz'$"):
+            plane_function("yz")
+    assert config._CHOICES["scan_plane"] == tuple(scans._PLANES)

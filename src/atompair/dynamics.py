@@ -257,24 +257,31 @@ def _pair_blocks(generator, levels: np.ndarray):
     return excited, form, np.cumsum(weights, axis=1) / np.where(total > 0, total, 1.0)
 
 
-def _no_jump(form, tau, x, y):
-    """expm(A tau) (x, y), A = [[0, -c], [c, -G]] per column (G, c, kappa) of ``form``: the no-jump
-    map of x e_l + i y e_e in a pair of ``_pair_blocks``.  A = -G/2 + N, N^2 = kappa^2, so it is p +
-    s N, p = e^{-G tau/2} cosh(kappa tau), s = e^{-G tau/2} sinh(kappa tau)/kappa: for real kappa >=
-    0 via e^{(kappa - G/2) tau} <= 1 and w = e^{-2 kappa tau}, which cannot overflow (s = tau e^{-G
-    tau/2} at the critical kappa = 0), else cos and sin/omega.  A batch of one kind takes one branch."""
+def _propagator(form, tau):
+    """(p, s) with expm(A tau) = p + s N, A = [[0, -c], [c, -G]] = -G/2 + N per column (G, c, kappa) of
+    ``form``, N^2 = kappa^2: p = e^{-G tau/2} cosh(kappa tau), s = e^{-G tau/2} sinh(kappa tau)/kappa,
+    for real kappa >= 0 via e^{(kappa - G/2) tau} <= 1 and w = e^{-2 kappa tau}, which cannot overflow
+    (s = tau e^{-G tau/2} at the critical kappa = 0), else cos and sin/omega.  A batch of one kind
+    takes one branch."""
     decay, coupling, kappa = form
     oscillating = kappa < 0
     if oscillating.all():  # kappa = i omega
         fade, angle = np.exp(-decay / 2 * tau), -kappa * tau
-        p, s = fade * np.cos(angle), fade * np.sin(angle) / -kappa
-    elif not oscillating.any():
+        return fade * np.cos(angle), fade * np.sin(angle) / -kappa
+    if not oscillating.any():
         fade, gone = np.exp((kappa - decay / 2) * tau), -np.expm1(-2 * kappa * tau)  # gone = 1 - w
-        p, s = fade * (1 - gone / 2), fade * np.divide(gone, 2 * kappa, out=tau + 0 * gone, where=kappa != 0)
-    else:  # rows of both kinds: each takes its own branch
-        under = _no_jump(np.array([decay, coupling, np.where(oscillating, kappa, -1.0)]), tau, x, y)
-        over = _no_jump(np.array([decay, coupling, np.where(oscillating, 0.0, kappa)]), tau, x, y)
-        return tuple(np.where(oscillating, u, o) for u, o in zip(under, over))
+        return fade * (1 - gone / 2), fade * np.divide(gone, 2 * kappa, out=tau + 0 * gone, where=kappa != 0)
+    # rows of both kinds: each takes its own branch
+    under = _propagator(np.array([decay, coupling, np.where(oscillating, kappa, -1.0)]), tau)
+    over = _propagator(np.array([decay, coupling, np.where(oscillating, 0.0, kappa)]), tau)
+    return tuple(np.where(oscillating, u, o) for u, o in zip(under, over))
+
+
+def _no_jump(form, tau, x, y):
+    """expm(A tau) (x, y) by ``_propagator``: the no-jump map of x e_l + i y e_e in a pair of
+    ``_pair_blocks``, as p (x, y) + s (u, v) with N (x, y) = (u, v) = (G/2 x - c y, c x - G/2 y)."""
+    decay, coupling, _ = form
+    p, s = _propagator(form, tau)
     return p * x + s * (decay / 2 * x - coupling * y), p * y + s * (coupling * x - decay / 2 * y)
 
 
@@ -335,6 +342,8 @@ def quantum_jump_estimate(
     rotation = np.sign(form[1]) * np.maximum(-form[2], 0.0)
     table_x, table_y = _no_jump(form[:, :, None], dt * np.arange(n_steps + 1), 1.0, 0.0)
     neg_survival = -(table_x**2 + table_y**2)
+    # each row's first row with the same survival table: the four-level ground levels share one
+    shared = (neg_survival[:, None] == neg_survival[None]).all(axis=-1).argmax(axis=1)
 
     def integrated(lev, tau) -> np.ndarray:
         """(F_ee, F_ll, Im F_el)(tau) per row, in closed form from the no-jump amplitudes."""
@@ -354,15 +363,19 @@ def quantum_jump_estimate(
         lo, hi = np.zeros_like(thresh), np.full_like(thresh, dt)
         delta = dt * (s_lo - thresh) / (s_lo - s_hi)
         prev_step, done = hi, np.zeros(thresh.shape, dtype=bool)
+        # the terms no iteration changes: _no_jump's N (x, y) = (u, v), 2 G and both tolerances
+        u, v = pair[0] / 2 * x - pair[1] * y, pair[1] * x - pair[0] / 2 * y
+        twice_decay, tol_excess, tol_step = 2 * pair[0], tol * thresh, tol * dt
         for _ in range(200):
-            x_d, y_d = _no_jump(pair, delta, x, y)
-            excess, slope = x_d**2 + y_d**2 - thresh, 2 * pair[0] * y_d**2
+            p, s = _propagator(pair, delta)
+            x_d, y_d = p * x + s * u, p * y + s * v
+            excess, slope = x_d**2 + y_d**2 - thresh, twice_decay * y_d**2
             lo, hi = np.where(excess >= 0, delta, lo), np.where(excess >= 0, hi, delta)
             step = -excess / slope
-            inside = (delta - step > lo) & (delta - step < hi)
-            newton = inside & (2.0 * abs(step) <= abs(prev_step))
+            moved = delta - step
+            newton = (moved > lo) & (moved < hi) & (2.0 * abs(step) <= abs(prev_step))
             step = np.where(newton, step, delta - (lo + hi) / 2)
-            done |= (abs(excess) <= tol * thresh) | (abs(step) <= tol * dt)
+            done |= (abs(excess) <= tol_excess) | (abs(step) <= tol_step)
             if done.all():
                 return m * dt + delta, slope
             delta, prev_step = np.where(done, delta, delta - step), step
@@ -382,13 +395,14 @@ def quantum_jump_estimate(
             draws = drawn[live]
             # each stretch's restart row: rows[:, j + 1] follows rows[:, j] by the j-th channel draw
             picked = following[(cumulative[:, None, None, :] <= draws[None, :, :, :1]).sum(axis=-1)]
-            rows = np.repeat(row[live, None], block + 1, axis=1)
+            rows, each = np.repeat(row[live, None], block + 1, axis=1), np.arange(live.size)
             for j in range(block):
-                rows[:, j + 1] = picked[rows[:, j], np.arange(live.size), j]
+                rows[:, j + 1] = picked[rows[:, j], each, j]
             lev, thresh = rows[:, :-1].ravel(), np.column_stack([thresholds[live], draws[:, :-1, 1]]).ravel()
-            m = np.empty(lev.size, dtype=int)  # first table index with survival below threshold
-            for level in np.unique(lev):
-                m[lev == level] = np.searchsorted(neg_survival[level], -thresh[lev == level], "right")
+            m, table = np.empty(lev.size, dtype=int), shared[lev]  # m: first index with survival below
+            for level in np.unique(shared):  # each distinct table once
+                hit = table == level
+                m[hit] = np.searchsorted(neg_survival[level], -thresh[hit], "right")
             tau, slope = np.full(lev.size, np.inf), np.zeros(lev.size)
             inside = np.flatnonzero(m <= n_steps)  # the survival crosses the threshold in the table
             tau[inside], slope[inside] = crossing(lev[inside], m[inside] - 1, thresh[inside])
@@ -408,7 +422,8 @@ def quantum_jump_estimate(
             values = integrated(lev[np.append(ends, cuts)], np.append(end[ends], cut[cuts]))
             gain = values[: ends.size]
             gain[np.searchsorted(ends, cuts)] -= values[ends.size :]
-            np.add.at(acc, (live[ends // block], lev[ends]), gain)  # in stretch order
+            flat = (live[ends // block] * len(restart) + lev[ends])[:, None] * 3 + np.arange(3)
+            np.add.at(acc.reshape(-1), flat.ravel(), gain.ravel())  # in stretch order
             more = held[:, -1]  # the whole block jumped
             groups[k] = live = live[more]
             row[live], thresholds[live], restarted[live] = rows[more, -1], draws[more, -1, 1], begun[more, -1]

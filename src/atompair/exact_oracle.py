@@ -73,13 +73,13 @@ def pair_field_matrix(scheme: LevelScheme, geometry: Geometry, detector: Detecto
 
 
 def _real_traces(values: np.ndarray, label: str) -> np.ndarray:
-    """Real parts of traces that must be real, each checked on its own scale."""
-    reals = []
-    for value in values.tolist():
-        if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-            raise ValueError(f"{label} should be real, got imaginary part {value.imag:.3e}")
-        reals.append(value.real)
-    return np.array(reals)
+    """Real parts of traces that must be real, each checked on its own scale; an error names the
+    first value that is not."""
+    reals, imags = values.real, values.imag
+    bad = abs(imags) > 1e-10 * np.fmax(1.0, abs(reals))
+    if np.count_nonzero(bad):
+        raise ValueError(f"{label} should be real, got imaginary part {imags[bad.argmax()]:.3e}")
+    return reals.copy()
 
 
 def _coincidences(e_1: np.ndarray, e_2: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:

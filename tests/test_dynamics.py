@@ -30,6 +30,7 @@ from atompair.dynamics import (
     _generator,
     _no_jump,
     _pair_blocks,
+    _propagator,
     drive_hamiltonian,
     unvectorize,
     vectorize,
@@ -358,6 +359,52 @@ class TestQuantumJump:
             quantum_jump_estimate(scheme, p, n_traj=2, t_total=5.0, seed=1)
 
 
+def pairs_of_both_kinds():
+    """A scheme and drive with an overdamped pair (0, 1) and an underdamped pair (2, 3) linked by
+    undriven decay, so a batch of stretches mixes both branches of the no-jump map."""
+    x_hat = np.array([1.0, 0.0, 0.0])
+    scheme = LevelScheme(
+        n_levels=4,
+        transitions=(
+            Transition(upper=0, lower=1, dipole=Z_HAT, decay_rate=3.0, driven=True),
+            Transition(upper=2, lower=3, dipole=Z_HAT, decay_rate=0.2, driven=True),
+            Transition(upper=0, lower=3, dipole=x_hat, decay_rate=0.5),
+            Transition(upper=2, lower=1, dipole=x_hat, decay_rate=0.3),
+        ),
+        excited_levels=frozenset({0, 2}),
+    )
+    return scheme, DriveDecayParams(g=0.6, gamma0=0.5, gamma=0.5)
+
+
+def mixed_columns(scheme, params):
+    """Each pair's column of ``_pair_blocks`` twice, with both start vectors per pair, (0, 1) and
+    (1, 0), as (x, y) rows: crossing() carries any tabulated (x, y)."""
+    form = _pair_blocks(_generator(scheme, params), np.array([1, 3]))[1][:, [0, 0, 1, 1]]
+    return form, np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])[:, :, None]
+
+
+def survival_tables(scheme, params, n_steps=2000):
+    """S_l(m dt) = x^2 + y^2 per ground level l, on the grid quantum_jump_estimate tabulates."""
+    form = _pair_blocks(_generator(scheme, params), np.array(sorted(scheme.ground_levels)))[1]
+    x, y = _no_jump(form[:, :, None], 0.02 / params.total * np.arange(n_steps + 1), 1.0, 0.0)
+    return x**2 + y**2
+
+
+class TestSurvivalTables:
+    @pytest.mark.parametrize("g", [0.0, 0.05, 0.5, 1.0, 1e3])
+    def test_four_level_ground_levels_share_one_table(self, g):
+        # the two pi pairs differ only in the sign of c, which flips y and leaves y^2: so the
+        # estimator searches one table for both restart levels (g = 0.5 is the critical block)
+        p = DriveDecayParams(g=g, gamma0=0.5, gamma=0.5)
+        tables = survival_tables(hg_level_scheme(p), p)
+        assert tables[0].tobytes() == tables[1].tobytes()
+
+    def test_pairs_of_both_kinds_keep_their_own_tables(self):
+        # so test_pairs_of_both_kinds runs one search per table against the scalar reference
+        tables = survival_tables(*pairs_of_both_kinds())
+        assert not np.array_equal(tables[0], tables[1])
+
+
 def expm_columns(a, taus):
     """expm(a tau) for each tau, as e^{s tau} expm((a - s) tau) for the scalar s = tr(a)/d:
     unshifted, scipy errs by 1.8e-11 at the critical block and tau = 800/Gamma."""
@@ -407,6 +454,17 @@ class TestPairPropagator:
                     turn = np.arctan2(y_t * start[0] - x_t * start[1], x_t * start[0] + y_t * start[1])
                     lag = turn - np.angle(psi[l] + psi[e])
                     assert abs(np.angle(np.exp(1j * lag))) <= 2 * tol, (k, t)
+
+    def test_no_jump_is_the_propagator_on_fixed_terms(self):
+        # crossing() forms N (x, y) = (u, v) once per call and p (x, y) + s (u, v) per iteration:
+        # bit for bit _no_jump, on both branches in one batch and from both start vectors
+        form, (x, y) = mixed_columns(*pairs_of_both_kinds())
+        decay, coupling = form[:2, :, None]
+        taus = 0.02 * np.array([0.0, 1 / 3, 0.5, 1.0, 37.0, 800.0])
+        p, s = _propagator(form[:, :, None], taus)
+        u, v = decay / 2 * x - coupling * y, coupling * x - decay / 2 * y
+        x_d, y_d = _no_jump(form[:, :, None], taus, x, y)
+        assert (p * x + s * u).tobytes() == x_d.tobytes() and (p * y + s * v).tobytes() == y_d.tobytes()
 
 
 class TestChannelTable:
@@ -554,34 +612,21 @@ class TestQuantumJumpReference:
             assert cut_after_jump == 0 and res.rho[2, 3] != 0
 
     def test_pairs_of_both_kinds(self):
-        # an overdamped and an underdamped pair linked by undriven decay, so a batch of stretches
-        # mixes both branches of the no-jump map
-        x_hat = np.array([1.0, 0.0, 0.0])
-        scheme = LevelScheme(
-            n_levels=4,
-            transitions=(
-                Transition(upper=0, lower=1, dipole=Z_HAT, decay_rate=3.0, driven=True),
-                Transition(upper=2, lower=3, dipole=Z_HAT, decay_rate=0.2, driven=True),
-                Transition(upper=0, lower=3, dipole=x_hat, decay_rate=0.5),
-                Transition(upper=2, lower=1, dipole=x_hat, decay_rate=0.3),
-            ),
-            excited_levels=frozenset({0, 2}),
-        )
-        p = DriveDecayParams(g=0.6, gamma0=0.5, gamma=0.5)
-        form = _pair_blocks(_generator(scheme, p), np.array([1, 3]))[1][:, [0, 0, 1, 1]]
+        scheme, p = pairs_of_both_kinds()
+        form, start = mixed_columns(scheme, p)
         assert form[2, 0] == form[2, 1] > 0 > form[2, 2] == form[2, 3]
         taus = np.linspace(0.0, 5.0, 7)
-        # both start vectors per pair, (0, 1) and (1, 0): crossing() carries any tabulated (x, y)
-        start = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])[:, :, None]
         mixed = _no_jump(form[:, :, None], taus, *start)
         for k in range(4):
             alone = _no_jump(form[:, [k], None], taus, *start[:, [k]])
             assert np.array_equal(np.array(mixed)[:, k], np.array(alone)[:, 0])
-        res = quantum_jump_estimate(scheme, p, n_traj=5, t_total=10.0, seed=31)
-        rho, stderr, jumps, _ = reference_jump_sampler(scheme, p, 5, 10.0, 31, 0.1, 1)
+        # at seed 26 trajectories jump from both pairs, so each pair's survival table is searched
+        # (at seed 31 no trajectory reached the second pair)
+        res = quantum_jump_estimate(scheme, p, n_traj=5, t_total=10.0, seed=26)
+        rho, stderr, jumps, _ = reference_jump_sampler(scheme, p, 5, 10.0, 26, 0.1, 1)
         assert np.max(np.abs(res.rho - rho)) <= 1e-9
         assert np.max(np.abs(res.stderr - stderr)) <= 1e-9
-        assert res.n_jumps == sum(jumps) > 0
+        assert res.n_jumps == sum(jumps) > 0 and res.rho[2, 2].real > 0
 
     def test_single_trajectory_has_infinite_stderr(self, scheme, params):
         res = quantum_jump_estimate(scheme, params, n_traj=1, t_total=10.0, seed=3)

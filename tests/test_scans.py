@@ -204,6 +204,17 @@ def test_stacked_oracle_rejects_a_non_hermitian_pair_state():
         g2_exact(scheme, GEOMETRY, det_1, det_2, np.kron(rho, rho))
 
 
+def test_real_traces_name_the_first_value_that_is_not_real():
+    # each value on its own scale: 1e-8 i is real next to 1e3, not next to 1
+    values = np.array([1e3 + 1e-8j, 2.0, 1.0 + 1e-8j, 1.0 - 5e-3j, np.nan + 1j])
+    reals = exact_oracle._real_traces(values[:2], "rate")
+    assert reals.tobytes() == np.array([1e3, 2.0]).tobytes()
+    with pytest.raises(ValueError, match=r"^rate should be real, got imaginary part 1\.000e-08$"):
+        exact_oracle._real_traces(values, "rate")
+    with pytest.raises(ValueError, match=r"imaginary part -5\.000e-03$"):
+        exact_oracle._real_traces(values[3:], "rate")
+
+
 def test_stacked_oracle_memory_stays_flat():
     scheme = SCHEMES["four-level"]
     rho = steady_state_numeric(build_liouvillian(scheme, PARAMS))

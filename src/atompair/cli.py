@@ -21,7 +21,9 @@ scheme.
 CSV writes every float with 17 significant digits (``.17g``) and JSON writes
 its shortest round-trip ``repr``; either way repeated runs with the same
 config and seed diff clean.  The JSON layout is exactly that of
-``json.dumps(payload, indent=2, sort_keys=True)``.
+``json.dumps(payload, indent=2, sort_keys=True)``.  Both writers format each
+distinct value of a table column once and reuse its string in every row that
+holds it.
 """
 
 from __future__ import annotations
@@ -66,12 +68,37 @@ def _config_echo(config: RunConfig) -> dict:
     return echo
 
 
-def _plain_column(values) -> list:
-    """A table column as a list of str, int (flags) or float, converted in one call."""
+def _cells(values, float_texts, text) -> list[str]:
+    """A table column as its cell strings, each distinct value formatted once.
+
+    ``float_texts`` turns a list of floats into their strings and ``text`` formats any other
+    cell; flags are written as 0 and 1.  Floats are told apart by bit pattern, so ``0.0`` and
+    ``-0.0`` keep their own strings.  Scan fringes are mirror-symmetric about the reference
+    direction, so many of a scan column's values repeat.
+    """
     if isinstance(values, list) and all(isinstance(v, str) for v in values):
-        return values
+        return [text(v) for v in values]
     values = np.asarray(values)
-    return (values.astype(int) if values.dtype == bool else values).tolist()
+    if values.size == 0 or values.dtype.kind not in "biuf":
+        return [text(v) for v in values.tolist()]
+    if values.dtype.kind == "f":
+        bits = values.astype(np.float64, copy=False).view(np.int64)
+        distinct, where = np.unique(bits, return_inverse=True)
+        texts = float_texts(distinct.view(np.float64).tolist())
+    else:
+        distinct, where = np.unique(values, return_inverse=True)
+        texts = [text(int(v)) for v in distinct.tolist()]
+    return np.array(texts, dtype=object)[where].tolist()
+
+
+def _csv_floats(values: list) -> list[str]:
+    return [format(v, ".17g") for v in values]
+
+
+def _json_floats(values: list) -> list[str]:
+    """JSON's own float tokens (shortest ``repr``, ``NaN``, ``Infinity``), from one encoder call;
+    no token holds a comma."""
+    return json.dumps(values, separators=(",", ":"))[1:-1].split(",")
 
 
 def _write_csv(path: str, metadata: dict, columns: dict) -> None:
@@ -79,23 +106,20 @@ def _write_csv(path: str, metadata: dict, columns: dict) -> None:
         f"# {k} = {_format_float(v) if isinstance(v, float) else v}" for k, v in metadata.items()
     ]
     lines.append(",".join(columns))
-    for cells in zip(*(_plain_column(values) for values in columns.values())):
-        lines.append(",".join(_format_float(c) if isinstance(c, float) else str(c) for c in cells))
+    cells = [_cells(values, _csv_floats, str) for values in columns.values()]
+    lines.extend(map(",".join, zip(*cells)))
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, metadata: dict, columns: dict) -> None:
     """``json.dumps({"metadata": ..., "columns": ...}, indent=2, sort_keys=True)``, byte for byte.
 
-    CPython encodes with its C encoder only when ``indent`` is None, so each column
-    is one such call whose separator carries the newline and indent of the
-    ``indent=2`` layout.
+    Each column is laid out from its cells' JSON tokens, so each distinct value is encoded once.
     """
     body = []
     for name in sorted(columns):
-        column = json.dumps(_plain_column(columns[name]), separators=(",\n      ", ": "))
-        if column != "[]":
-            column = f"[\n      {column[1:-1]}\n    ]"
+        cells = _cells(columns[name], _json_floats, json.dumps)
+        column = "[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]"
         body.append(f"{json.dumps(name)}: {column}")
     # encoded strings hold no raw newline, so every newline is layout
     meta = json.dumps(metadata, indent=2, sort_keys=True).replace("\n", "\n  ")

@@ -20,7 +20,7 @@ from atompair import (
     standard_geometry,
     steady_state_analytic,
 )
-from atompair.cli import _COMMANDS, _build_parser, _write_json, main
+from atompair.cli import _COMMANDS, _build_parser, _write_csv, _write_json, main
 from atompair.config import ConfigError, RunConfig, parse_config_text
 from atompair.dynamics import QuantumJumpResult
 from atompair.scans import reference_direction, scan_direction
@@ -586,6 +586,12 @@ class TestValidateCommand:
         assert "unrecognized arguments: --inject-trace-bug" in capsys.readouterr().err
 
 
+# a float column whose repeats include both zeros, NaN and both infinities
+REPEATED_FLOATS = np.array(
+    [0.1, -0.0, np.nan, 0.0, np.inf, 0.1, -np.inf, np.nan, -0.0, np.inf, 0.0, -np.inf, 1.0 / 3.0]
+)
+
+
 class TestJsonLayout:
     """The JSON writers produce exactly ``json.dumps(..., indent=2, sort_keys=True)``."""
 
@@ -604,6 +610,7 @@ class TestJsonLayout:
         metadata = {"zeta": "quote \" and back\\slash", "alpha": float("nan"), "\u00e9t\u00e9": -0.0}
         columns = {
             "value": np.array([float("nan"), float("inf"), -float("inf"), 0.1, -2.5e-300]),
+            "repeats": REPEATED_FLOATS,
             "flag": np.array([True, False, True]),
             "label": ["\u03c1\u2081\u2081", 'say "hi"', "tab\there", ""],
             "empty": np.array([]),
@@ -615,10 +622,44 @@ class TestJsonLayout:
         text = out.read_text(encoding="utf-8")
         self.assert_stdlib_layout(text)
         payload = json.loads(text)
-        assert payload["columns"]["flag"] == [1, 0, 1]
+        flags = payload["columns"]["flag"]
+        assert flags == [1, 0, 1] and all(type(v) is int for v in flags)  # not true/false
         assert payload["columns"]["empty"] == []
         assert payload["columns"]["single"] == [1.0 / 3.0]
         assert math.isnan(payload["metadata"]["alpha"])
+        # bit-equal, not just equal: a -0.0 written as 0.0 would pass a re-dump of the parse
+        parsed = np.array(payload["columns"]["repeats"])
+        assert np.array_equal(parsed.view(np.int64), REPEATED_FLOATS.view(np.int64))
+
+
+def test_csv_cell_formats_its_own_row(tmp_path):
+    out = tmp_path / "out.csv"
+    _write_csv(str(out), {}, {"repeats": REPEATED_FLOATS, "flag": REPEATED_FLOATS > 0})
+    _, header, rows = read_csv(out)
+    assert header == ["repeats", "flag"]
+    assert [cells[0] for cells in rows] == [format(v, ".17g") for v in REPEATED_FLOATS]
+    assert [cells[1] for cells in rows] == [str(int(v > 0)) for v in REPEATED_FLOATS]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writer_formats_each_distinct_float_once(tmp_path, monkeypatch, fmt):
+    formatted = []
+    for name in ("_json_floats", "_csv_floats"):
+        texts = getattr(atompair.cli, name)
+        counted = lambda values, texts=texts: formatted.append(len(values)) or texts(values)
+        monkeypatch.setattr(atompair.cli, name, counted)
+    cfg = write_config(tmp_path, "scan_points = 360\n")
+    out = tmp_path / f"g2.{fmt}"
+    assert main(["g2-scan", "--config", cfg, "--output", str(out), "--format", fmt]) == 0
+    if fmt == "json":
+        columns = json.loads(out.read_text(encoding="utf-8"))["columns"]
+    else:
+        _, header, rows = read_csv(out)
+        columns = {name: [float(cells[j]) for cells in rows] for j, name in enumerate(header)}
+    floats = [np.array(columns[name], dtype=float) for name in columns if name != "violated"]
+    assert len(floats) == 8 and all(column.size == 360 for column in floats)
+    distinct = sum(np.unique(column.view(np.int64)).size for column in floats)
+    assert sum(formatted) == distinct < 8 * 360
 
 
 def test_population_pull():
